@@ -32,8 +32,11 @@ inline SystemProfile profile_by_name(const std::string& name) {
   if (name == "SDSC") {
     return SystemProfile::sdsc();
   }
+  if (name == "DCP") {
+    return SystemProfile::dc_prophet();
+  }
   throw InvalidArgument("unknown profile: " + name +
-                        " (expected ANL or SDSC)");
+                        " (expected ANL, SDSC or DCP)");
 }
 
 /// A generated-and-preprocessed log plus its bookkeeping.

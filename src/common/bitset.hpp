@@ -45,6 +45,12 @@ class ItemBitset {
     return (words_[bit / 64] >> (bit % 64)) & 1;
   }
 
+  /// The 64-bit word holding bits [64 * i, 64 * i + 64).
+  std::uint64_t word(std::size_t i) const {
+    BGL_CHECK_RANGE(i, kWords);
+    return words_[i];
+  }
+
   void reset() {
     for (std::uint64_t& w : words_) {
       w = 0;
@@ -116,7 +122,6 @@ class DynamicBitset {
   /// All-zeros bitset able to hold `bits` bits without reallocation.
   explicit DynamicBitset(std::size_t bits) : words_((bits + 63) / 64, 0) {}
 
-  bool empty_words() const { return words_.empty(); }
   std::size_t word_count() const { return words_.size(); }
 
   void set(std::size_t bit) {
@@ -133,6 +138,11 @@ class DynamicBitset {
       return false;
     }
     return (words_[word] >> (bit % 64)) & 1;
+  }
+
+  /// The word holding bits [64 * i, 64 * i + 64); 0 past the stored width.
+  std::uint64_t word(std::size_t i) const {
+    return i < words_.size() ? words_[i] : 0;
   }
 
   /// Number of set bits.
@@ -178,33 +188,6 @@ class DynamicBitset {
     for (std::size_t i = n; i < words_.size(); ++i) {
       words_[i] = 0;
     }
-  }
-
-  /// this |= other (grows to `other`'s width when needed).
-  void or_with(const DynamicBitset& other) {
-    if (other.words_.size() > words_.size()) {
-      words_.resize(other.words_.size(), 0);
-    }
-    for (std::size_t i = 0; i < other.words_.size(); ++i) {
-      words_[i] |= other.words_[i];
-    }
-  }
-
-  /// Invokes `fn(bit)` for each set bit in ascending order; `fn` returns
-  /// true to stop early. Returns true if the walk was stopped.
-  template <typename Fn>
-  bool for_each_set(Fn&& fn) const {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      std::uint64_t w = words_[i];
-      while (w != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(w));
-        if (fn(i * 64 + bit)) {
-          return true;
-        }
-        w &= w - 1;
-      }
-    }
-    return false;
   }
 
  private:

@@ -1,6 +1,9 @@
 #include "mining/rules.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "common/binary.hpp"
@@ -32,6 +35,67 @@ std::string Rule::to_string() const {
   return out;
 }
 
+namespace {
+
+// Kept bodies: linear probing behind a one-hash Bloom filter that keeps
+// most probes for absent bodies out of the table. The empty body never
+// enters, so an all-zeros slot is free, and one always remains.
+class BodySet {
+ public:
+  explicit BodySet(std::size_t max_size)
+      : slots_(std::bit_ceil(max_size + 1)), filter_(8 * slots_.size()) {}
+
+  void insert(const ItemBitset& body) {
+    const std::uint64_t h = hash(body);
+    filter_[(h >> 32) & (filter_.size() - 1)] = true;
+    slots_[find(body, h)] = body;
+  }
+
+  /// True if a non-empty sub-body of the encodable `body` is in the set.
+  bool has_sub_body(const Itemset& body) const {
+    for (std::uint64_t subset = 1; subset < (std::uint64_t{1} << body.size());
+         ++subset) {
+      ItemBitset sub;
+      for (std::size_t i = 0; i < body.size(); ++i) {
+        if ((subset >> i) & 1) {
+          sub.set(item_bit(body[i]));
+        }
+      }
+      const std::uint64_t h = hash(sub);
+      if (filter_[(h >> 32) & (filter_.size() - 1)] &&
+          slots_[find(sub, h)] == sub) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static std::uint64_t hash(const ItemBitset& body) {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < ItemBitset::kWords; ++i) {
+      h = (h ^ body.word(i)) * 0x9e3779b97f4a7c15ULL;
+    }
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;  // every bit mixed
+    return h ^ (h >> 33);
+  }
+
+  // The slot holding `body`, or the free slot where it belongs.
+  std::size_t find(const ItemBitset& body, std::uint64_t h) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(h) & mask;
+    while (slots_[slot].any() && slots_[slot] != body) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  std::vector<ItemBitset> slots_;
+  std::vector<bool> filter_;  // 8 bits per slot
+};
+
+}  // namespace
+
 RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
   std::sort(rules_.begin(), rules_.end(), [](const Rule& a, const Rule& b) {
     if (a.confidence != b.confidence) {
@@ -42,55 +106,84 @@ RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
     }
     return a.body < b.body;
   });
-  // Matching index over the confidence order. Bodies that cannot be
-  // encoded (items outside the fixed universe) and empty bodies (match
-  // everything) go to the always-checked mask instead.
-  bodies_.resize(rules_.size());
-  rules_by_item_.resize(ItemBitset::kBits);
+  // Matching index over the reachable rules: a rule is unreachable exactly
+  // when an earlier kept rule's body is a subset of its own. A body of k
+  // items probes its 2^k - 1 sub-bodies (15 at the default
+  // max_itemset_size) unless a scan of the kept rules is cheaper or it is
+  // unencodable; those and the empty body go to the always-checked mask.
+  BodySet kept_bodies(rules_.size());
   for (std::size_t r = 0; r < rules_.size(); ++r) {
+    const Itemset& body = rules_[r].body;
     ItemBitset bits;
-    if (rules_[r].body.empty() ||
-        !try_encode_bitset(rules_[r].body, &bits)) {
-      always_check_.set(r);
+    const bool encodable = try_encode_bitset(body, &bits);
+    const bool covered =  // 2^k probes when 2^k <= kept rules, else a scan
+        encodable && body.size() < std::bit_width(index_rules_.size())
+            ? kept_bodies.has_sub_body(body)
+            : std::any_of(index_rules_.begin(), index_rules_.end(),
+                          [&](std::size_t kept) {
+                            return is_subset(rules_[kept].body, body);
+                          });
+    if (covered) {
       continue;
     }
-    bodies_[r] = bits;
-    bits.for_each_set(
-        [&](std::size_t bit) { rules_by_item_[bit].set(r); });
+    const std::size_t slot = index_rules_.size();
+    index_rules_.push_back(r);
+    bodies_.push_back(encodable ? bits : ItemBitset{});
+    if (body.empty() || !encodable) {
+      always_check_.set(slot);
+    } else {
+      kept_bodies.insert(bits);
+      bits.for_each_set(
+          [&](std::size_t bit) { rules_by_item_[bit].set(slot); });
+    }
+    if (body.empty()) {
+      break;  // matches every window, so no later rule is reachable
+    }
   }
 }
 
 // bgl:hot-begin(rule-matcher)
-// Matching runs once per forwarded record in the online engine; the
-// ~4500x over the naive scan (DESIGN §6) only holds while this stays
-// bitset-AND + popcount (the candidate copy is a handful of words, and
-// empty for rule sets with no always-checked bodies).
+// Matching runs once per forwarded record (DESIGN §6), so it must not
+// allocate: instead of a candidate bitset (193 words on servebench's
+// DC-Prophet model) the walk ORs the observed items' masks one word at a
+// time and stops in the word holding the first hit.
 const Rule* RuleSet::match_candidates(const ItemBitset& observed,
                                       const Itemset* observed_items) const {
-  // Candidates: rules sharing at least one item with the observed set
-  // (any matching non-empty body must), plus the always-checked rules.
-  DynamicBitset candidates = always_check_;
+  // Masks of the observed items that some kept body uses; the walk ends
+  // with the longest of them and the always-checked one.
+  std::array<const DynamicBitset*, ItemBitset::kBits> masks;
+  std::size_t mask_count = 0;
+  std::size_t words = always_check_.word_count();
   observed.for_each_set([&](std::size_t bit) {
-    candidates.or_with(rules_by_item_[bit]);
-  });
-  // Rule indices ascend in confidence order, so the first subset hit is
-  // the best match.
-  const Rule* found = nullptr;
-  candidates.for_each_set([&](std::size_t r) {
-    if (always_check_.test(r)) {
-      const bool hit = observed_items != nullptr
-                           ? is_subset(rules_[r].body, *observed_items)
-                           : rules_[r].body.empty();
-      if (!hit) {
-        return false;
-      }
-    } else if (!bodies_[r].is_subset_of(observed)) {
-      return false;
+    const DynamicBitset& mask = rules_by_item_[bit];
+    if (mask.word_count() != 0) {
+      masks[mask_count++] = &mask;
+      words = std::max(words, mask.word_count());
     }
-    found = &rules_[r];
-    return true;
   });
-  return found;
+  for (std::size_t w = 0; w < words; ++w) {
+    // Candidates: kept rules sharing an item with the window (any
+    // matching non-empty body must), plus the always-checked ones.
+    std::uint64_t candidates = always_check_.word(w);
+    for (std::size_t m = 0; m < mask_count; ++m) {
+      candidates |= masks[m]->word(w);
+    }
+    // Slots ascend in confidence order, so the first subset hit is the
+    // best match.
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const std::size_t slot =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
+      const Rule& rule = rules_[index_rules_[slot]];
+      const bool hit =
+          !always_check_.test(slot) ? bodies_[slot].is_subset_of(observed)
+          : observed_items != nullptr ? is_subset(rule.body, *observed_items)
+                                      : rule.body.empty();
+      if (hit) {
+        return &rule;
+      }
+    }
+  }
+  return nullptr;
 }
 
 const Rule* RuleSet::best_match(const Itemset& observed) const {

@@ -63,25 +63,28 @@ struct RuleOptions {
 
 /// An ordered rule collection with matching support.
 ///
-/// Construction precomputes a matching index over the confidence order:
-/// each body as an ItemBitset plus an inverted item -> rule-indices map
-/// (bitsets over rule indices). best_match ORs the observed items' rule
-/// masks into a candidate set and subset-tests candidates in confidence
-/// order with word ops — O(|observed| + candidates) instead of a linear
-/// scan over every rule body. Bodies containing items outside the fixed
-/// bitset universe (synthetic tests only; the catalog always fits) are
-/// kept on an always-checked naive path so results stay identical.
+/// A rule whose body contains an earlier rule's body can never be the
+/// best match, so the matching index covers the reachable rules only;
+/// rules() keeps the full list, which save_rules writes. The index holds
+/// each kept body as an ItemBitset plus an inverted item -> kept-rule
+/// bitset. best_match ORs the observed items' masks one 64-bit word at a
+/// time and returns at the first subset hit, allocating nothing, so one
+/// RuleSet can serve any number of readers. Bodies with items outside the
+/// fixed bitset universe (synthetic tests only) and the empty body take an
+/// always-checked naive path so results stay identical.
 class RuleSet {
  public:
   RuleSet() = default;
   /// Sorts rules in descending confidence (Step 4), ties broken by higher
   /// support then lexicographic body for determinism, and builds the
-  /// matching index.
+  /// matching index over the reachable rules.
   explicit RuleSet(std::vector<Rule> rules);
 
   const std::vector<Rule>& rules() const { return rules_; }
   std::size_t size() const { return rules_.size(); }
   bool empty() const { return rules_.empty(); }
+  /// Rules the matching index keeps: those best_match can ever return.
+  std::size_t reachable_size() const { return index_rules_.size(); }
 
   /// Returns the highest-confidence rule whose body is a subset of
   /// `observed` (sorted body items of the current window), or nullptr if
@@ -93,8 +96,8 @@ class RuleSet {
   /// is inside the fixed bitset universe.
   const Rule* best_match(const ItemBitset& observed) const;
 
-  /// Reference implementation: linear scan in confidence order. Kept as
-  /// the differential-test oracle for the indexed matcher.
+  /// Reference implementation: linear scan of the full list in confidence
+  /// order. Kept as the differential-test oracle for the indexed matcher.
   const Rule* best_match_naive(const Itemset& observed) const;
 
  private:
@@ -102,10 +105,12 @@ class RuleSet {
                                const Itemset* observed_items) const;
 
   std::vector<Rule> rules_;
-  // Matching index, parallel to rules_ (confidence order).
-  std::vector<ItemBitset> bodies_;        ///< encoded rule bodies
-  std::vector<DynamicBitset> rules_by_item_;  ///< item bit -> rule indices
-  DynamicBitset always_check_;  ///< rules needing the naive subset test
+  // Matching index over the reachable rules, in confidence order.
+  std::vector<std::size_t> index_rules_;      ///< slot -> index in rules_
+  std::vector<ItemBitset> bodies_;            ///< slot -> encoded body
+  std::vector<DynamicBitset> rules_by_item_ =
+      std::vector<DynamicBitset>(ItemBitset::kBits);  ///< item bit -> slots
+  DynamicBitset always_check_;  ///< slots needing the naive subset test
 };
 
 /// Generates single-head rules body->label from a frequent set: for every

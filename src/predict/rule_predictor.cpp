@@ -31,6 +31,7 @@ void RulePredictor::reset() {
   live_items_.reset();
   overflow_counts_.clear();
   rule_debounce_.clear();
+  memo_valid_ = false;
 }
 
 void RulePredictor::add_item(Item item) {
@@ -93,13 +94,14 @@ void RulePredictor::save_state(std::ostream& os) const {
 void RulePredictor::load_state(std::istream& is) {
   detail::read_checkpoint_header(is, "RULE", config_);
   rules_ = load_rules(is);
+  // Right away: the debounce keys and the memo point into the old rules.
+  reset();
   training_stats_.fatal_events =
       wire::read<std::uint64_t>(is, "fatal event count");
   training_stats_.with_precursors =
       wire::read<std::uint64_t>(is, "precursor count");
   training_stats_.without_precursors =
       wire::read<std::uint64_t>(is, "no-precursor count");
-  reset();
   const auto window_size = wire::read<std::uint64_t>(is, "window size");
   for (std::uint64_t i = 0; i < window_size; ++i) {
     const auto time = wire::read<std::int64_t>(is, "window entry time");
@@ -138,7 +140,12 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
   const Rule* rule = nullptr;
   if (overflow_counts_.empty()) {
     // Fast path: the live bitset is the window's distinct item set.
-    rule = rules_.best_match(live_items_);
+    if (!memo_valid_ || live_items_ != memo_items_) {
+      memo_rule_ = rules_.best_match(live_items_);
+      memo_items_ = live_items_;
+      memo_valid_ = true;
+    }
+    rule = memo_rule_;
   } else {
     // Items outside the bitset universe are present (synthetic inputs):
     // fall back to the full sorted-itemset match for exact semantics.

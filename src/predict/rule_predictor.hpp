@@ -40,6 +40,12 @@ class RulePredictor final : public BasePredictor {
  public:
   RulePredictor(const PredictionConfig& config,
                 const RulePredictorOptions& options = {});
+  // The debounce keys and the memo point into rules_. A copy would alias
+  // the source's rules; a move keeps the vector's element addresses.
+  RulePredictor(const RulePredictor&) = delete;
+  RulePredictor& operator=(const RulePredictor&) = delete;
+  RulePredictor(RulePredictor&&) = default;
+  RulePredictor& operator=(RulePredictor&&) = default;
 
   std::string name() const override { return "rule"; }
   void train(const LogView& training) override;
@@ -74,6 +80,10 @@ class RulePredictor final : public BasePredictor {
   ItemBitset live_items_;                          // bits with count > 0
   std::map<Item, std::uint32_t> overflow_counts_;  // unencodable items
   std::unordered_map<const Rule*, TimePoint> rule_debounce_;
+  // best_match of memo_items_ until reset(): most records repeat the set.
+  bool memo_valid_ = false;
+  ItemBitset memo_items_;
+  const Rule* memo_rule_ = nullptr;
 
   void add_item(Item item);
   void remove_item(Item item);

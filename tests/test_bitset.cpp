@@ -111,20 +111,17 @@ TEST(DynamicBitsetTest, AndOperationsClampWidth) {
   EXPECT_FALSE(a.test(500));
 }
 
-TEST(DynamicBitsetTest, OrWithGrowsAndForEachStops) {
+TEST(DynamicBitsetTest, WordIsZeroPastTheEnd) {
   DynamicBitset a;
-  DynamicBitset b;
+  EXPECT_EQ(a.word(0), 0u);  // an empty bitset reads as all-zeros
   a.set(2);
-  b.set(300);
-  a.or_with(b);
-  EXPECT_TRUE(a.test(2));
-  EXPECT_TRUE(a.test(300));
-  std::vector<std::size_t> seen;
-  a.for_each_set([&](std::size_t bit) {
-    seen.push_back(bit);
-    return true;  // stop after the first set bit
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{2}));
+  a.set(130);
+  EXPECT_EQ(a.word_count(), 3u);
+  EXPECT_EQ(a.word(0), std::uint64_t{1} << 2);
+  EXPECT_EQ(a.word(1), 0u);
+  EXPECT_EQ(a.word(2), std::uint64_t{1} << 2);
+  EXPECT_EQ(a.word(3), 0u);
+  EXPECT_EQ(a.word(1000), 0u);
 }
 
 // ---- dense item encoding ----------------------------------------------
@@ -294,6 +291,17 @@ TEST(DifferentialTest, BestMatchMatchesNaive) {
       }
     }
   }
+}
+
+TEST(RuleSetTest, DefaultConstructedMatchesNothing) {
+  // mine_rules returns this for an empty database, and an untrained
+  // RulePredictor matches against it.
+  const RuleSet rules;
+  EXPECT_EQ(rules.reachable_size(), 0u);
+  EXPECT_EQ(rules.best_match(Itemset{body_item(1), body_item(7)}), nullptr);
+  ItemBitset bits;
+  bits.set(item_bit(body_item(1)));
+  EXPECT_EQ(rules.best_match(bits), nullptr);
 }
 
 TEST(RuleSetTest, EmptyBodyRuleMatchesEmptyWindow) {

@@ -1,14 +1,16 @@
 // Tests for the extension modules: LogQuery, binary I/O, lead-time
-// analysis, rule pruning, and cross-category correlation.
+// analysis, rule-index pruning, and cross-category correlation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "core/three_phase.hpp"
 #include "eval/lead_time.hpp"
 #include "mining/event_sets.hpp"
-#include "mining/pruning.hpp"
+#include "mining/rules.hpp"
 #include "raslog/binary_io.hpp"
 #include "simgen/generator.hpp"
 #include "stats/correlation.hpp"
@@ -220,7 +222,11 @@ TEST(LeadTimeTest, EmptyInputs) {
   EXPECT_DOUBLE_EQ(report.actionable_fraction(60), 0.0);
 }
 
-// ---- rule pruning ---------------------------------------------------------------
+// ---- rule-index pruning -----------------------------------------------------
+//
+// RuleSet's matching index drops exactly the rules best_match can never
+// return: those whose body contains an earlier kept rule's body. rules()
+// keeps the full list either way.
 
 Rule rule(Itemset body, std::vector<SubcategoryId> heads, double conf) {
   Rule r;
@@ -230,53 +236,103 @@ Rule rule(Itemset body, std::vector<SubcategoryId> heads, double conf) {
   return r;
 }
 
+// Every query below must get best_match_naive's rule from both overloads.
+void expect_matches_naive(const RuleSet& rules,
+                          const std::vector<Itemset>& queries) {
+  for (const Itemset& observed : queries) {
+    const Rule* naive = rules.best_match_naive(observed);
+    EXPECT_EQ(rules.best_match(observed), naive)
+        << itemset_to_string(observed);
+    ItemBitset bits;
+    if (try_encode_bitset(observed, &bits)) {
+      EXPECT_EQ(rules.best_match(bits), naive) << itemset_to_string(observed);
+    }
+  }
+}
+
 TEST(PruningTest, DropsDominatedSuperBody) {
-  PruneStats stats;
-  const auto kept = prune_redundant_rules(
-      {rule({1}, {50}, 0.8), rule({1, 2}, {50}, 0.7)}, &stats);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].body, Itemset{1});
-  EXPECT_EQ(stats.pruned, 1u);
+  const RuleSet rules({rule({1}, {50}, 0.8), rule({1, 2}, {50}, 0.7)});
+  EXPECT_EQ(rules.size(), 2u);
+  EXPECT_EQ(rules.reachable_size(), 1u);
+  EXPECT_EQ(rules.best_match(Itemset{1, 2}), &rules.rules()[0]);
+  expect_matches_naive(rules, {{}, {1}, {2}, {1, 2}});
 }
 
 TEST(PruningTest, KeepsMoreConfidentSpecificRule) {
-  const auto kept = prune_redundant_rules(
-      {rule({1}, {50}, 0.5), rule({1, 2}, {50}, 0.9)});
-  EXPECT_EQ(kept.size(), 2u);  // the specific rule adds confidence
+  const RuleSet rules({rule({1}, {50}, 0.5), rule({1, 2}, {50}, 0.9)});
+  EXPECT_EQ(rules.reachable_size(), 2u);  // {1, 2} fires first
+  EXPECT_EQ(rules.best_match(Itemset{1, 2})->confidence, 0.9);
+  EXPECT_EQ(rules.best_match(Itemset{1})->confidence, 0.5);
+  expect_matches_naive(rules, {{}, {1}, {2}, {1, 2}});
 }
 
-TEST(PruningTest, HeadsMustBeSuperset) {
-  const auto kept = prune_redundant_rules(
-      {rule({1}, {50}, 0.9), rule({1, 2}, {60}, 0.5)});
-  EXPECT_EQ(kept.size(), 2u);  // different heads: no domination
+TEST(PruningTest, UnreachableWhateverItsHeads) {
+  // Only the body decides which rule fires, so heads cannot save it.
+  for (const std::vector<SubcategoryId>& heads :
+       {std::vector<SubcategoryId>{50}, std::vector<SubcategoryId>{60},
+        std::vector<SubcategoryId>{50, 60}}) {
+    const RuleSet rules({rule({1}, {50}, 0.9), rule({1, 2}, heads, 0.5)});
+    EXPECT_EQ(rules.reachable_size(), 1u);
+    expect_matches_naive(rules, {{1}, {2}, {1, 2}});
+  }
 }
 
 TEST(PruningTest, MultiHeadDomination) {
-  const auto kept = prune_redundant_rules(
-      {rule({1}, {50, 60}, 0.9), rule({1, 3}, {50}, 0.4)});
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].heads.size(), 2u);
+  const RuleSet rules({rule({1}, {50, 60}, 0.9), rule({1, 3}, {50}, 0.4),
+                       rule({3}, {50}, 0.3), rule({2, 3}, {60}, 0.2)});
+  // {1, 3} contains {1}; {2, 3} contains {3}, itself kept.
+  EXPECT_EQ(rules.reachable_size(), 2u);
+  EXPECT_EQ(rules.best_match(Itemset{1, 3})->heads.size(), 2u);
+  expect_matches_naive(rules, {{1}, {3}, {1, 3}, {2, 3}, {1, 2, 3}});
+}
+
+TEST(PruningTest, KeptEmptyBodyMakesLaterRulesUnreachable) {
+  const RuleSet rules({rule({1}, {50}, 0.9), rule({}, {60}, 0.6),
+                       rule({2}, {50}, 0.5), rule({1, 2}, {60}, 0.4)});
+  EXPECT_EQ(rules.reachable_size(), 2u);
+  EXPECT_EQ(rules.best_match(Itemset{2}), &rules.rules()[1]);
+  EXPECT_EQ(rules.best_match(ItemBitset{}), &rules.rules()[1]);
+  expect_matches_naive(rules, {{}, {1}, {2}, {1, 2}});
+}
+
+TEST(PruningTest, UnencodableBodies) {
+  // Items past the bitset universe (synthetic inputs only) take the
+  // scanned, always-checked path and must prune exactly as well.
+  const Item far = body_item(static_cast<SubcategoryId>(kItemBodyBits + 3));
+  const RuleSet rules({rule({1}, {50}, 0.9), rule({far}, {50}, 0.8),
+                       rule({1, far}, {50}, 0.7), rule({2, far}, {50}, 0.6),
+                       rule({2}, {50}, 0.5)});
+  // {1, far} contains {1} and {2, far} contains {far}; {far} cannot cover
+  // the encodable {2}.
+  EXPECT_EQ(rules.reachable_size(), 3u);
+  EXPECT_EQ(rules.best_match(Itemset{2, far}), &rules.rules()[1]);
+  EXPECT_EQ(rules.best_match(Itemset{2}), &rules.rules()[4]);
+  expect_matches_naive(rules, {{}, {1}, {2}, {far}, {1, far}, {2, far},
+                               {1, 2, far}});
 }
 
 TEST(PruningTest, BestMatchUnchangedOnRealRules) {
-  // Property: pruning must not change best_match confidence on any
-  // observed window drawn from the rules' own bodies.
+  // Property: on mined rules, the pruned index returns exactly the rule
+  // the full-list scan returns, for every rule body and every union of
+  // two bodies as the window.
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.05);
   ThreePhaseOptions opt;
   ThreePhasePredictor(opt).run_phase1(g.log);
+  // A wide rule-generation window mines sub-body chains to prune.
   const TransactionDb db =
-      extract_event_sets(g.log, 15 * kMinute, nullptr, 2.0);
-  const RuleSet full = mine_rules(db, RuleOptions{});
-  const RuleSet pruned = prune_redundant_rules(full);
-  EXPECT_LE(pruned.size(), full.size());
-  for (const Rule& r : full.rules()) {
-    const Rule* a = full.best_match(r.body);
-    const Rule* b = pruned.best_match(r.body);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_NEAR(a->confidence, b->confidence, 1e-9)
-        << itemset_to_string(r.body);
+      extract_event_sets(g.log, 60 * kMinute, nullptr, 2.0);
+  const RuleSet rules = mine_rules(db, RuleOptions{});
+  EXPECT_LT(rules.reachable_size(), rules.size());
+  std::vector<Itemset> queries;
+  for (const Rule& a : rules.rules()) {
+    for (const Rule& b : rules.rules()) {
+      Itemset both;
+      std::set_union(a.body.begin(), a.body.end(), b.body.begin(),
+                     b.body.end(), std::back_inserter(both));
+      queries.push_back(std::move(both));
+    }
   }
+  expect_matches_naive(rules, queries);
 }
 
 // ---- correlation ---------------------------------------------------------------

@@ -12,8 +12,11 @@
 namespace bglpred {
 namespace {
 
+// GoogleTest prints this struct as a byte dump, and the dump is part of
+// each ctest test name. The name is held inline (not as a pointer) so
+// those bytes, and with them the test names, are the same in every run.
 struct ProfileCase {
-  const char* name;
+  char name[8];
   Duration rulegen_window;
 };
 
