@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
       GeneratedLog g =  // repo-lint: allow(simgen-materialize)
           LogGenerator(profile_by_name(profile)).generate(scale);
       PreprocessOptions opt;
-      opt.temporal_threshold = threshold;
-      opt.spatial_threshold = threshold;
+      opt.threshold = threshold;
       const PreprocessStats stats = preprocess(g.log, opt);
       if (threshold == 300) {
         fatal_at_300 = stats.unique_fatal_events;

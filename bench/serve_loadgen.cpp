@@ -18,14 +18,13 @@
 //
 //   $ ./serve_loadgen                   # full google-benchmark sweep
 //   $ ./serve_loadgen --smoke           # CI gate: correctness pass +
-//                                       # epoll-vs-poll-baseline
-//                                       # throughput floor, then emits
+//                                       # epoll-vs-poll throughput
+//                                       # floor over alternating live
+//                                       # pairs, then emits
 //                                       # BENCH_serve.json (cheap row)
 //   $ ./serve_loadgen --sweep-smoke     # CI gate: few-hundred-conn
 //                                       # sweep, p99 bound, zero
 //                                       # dropped/desynced frames
-//   $ ./serve_loadgen --write-baseline  # regenerate the committed
-//                                       # poll() oracle baseline JSON
 //   $ ./serve_loadgen --chaos           # network chaos survival run
 //                                       # (EXPERIMENTS.md X12): six
 //                                       # misbehaving personas against a
@@ -46,7 +45,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,10 +67,6 @@ namespace {
 
 /// --smoke shrinks the workload; set in main() before benchmarks run.
 bool g_smoke = false;
-
-#ifndef BGL_SERVE_BASELINE_PATH
-#define BGL_SERVE_BASELINE_PATH "BENCH_serve_poll_baseline.json"
-#endif
 
 struct Workload {
   std::vector<std::vector<WireRecord>> streams;
@@ -455,11 +449,10 @@ void BM_ServeSweep(benchmark::State& state) {
   state.counters["desynced"] = static_cast<double>(r.desynced);
 }
 
-// ---- throughput probes and the committed poll() baseline -----------------
+// ---- throughput probes ------------------------------------------------------
 
 /// Records/s of a pipelined submit replay against the given backend —
-/// the number the smoke gate compares across backends and against the
-/// committed baseline.
+/// the number the smoke gate compares across backends.
 double throughput_probe(PollerBackend backend, const ThreePhasePredictor& tpp) {
   const Workload& load = workload();
   std::vector<WireRecord> all;
@@ -486,41 +479,10 @@ double throughput_probe(PollerBackend backend, const ThreePhasePredictor& tpp) {
   return static_cast<double>(all.size()) / std::max(elapsed, 1e-9);
 }
 
-/// Minimal field extraction — the baseline file is flat JSON this
-/// binary itself wrote.
-double baseline_records_per_sec(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return 0.0;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"records_per_sec\":";
-  const std::size_t pos = text.find(key);
-  if (pos == std::string::npos) {
-    return 0.0;
-  }
-  return std::strtod(text.c_str() + pos + key.size(), nullptr);
-}
-
-int write_baseline(const std::string& path,
-                   const ThreePhasePredictor& tpp) {
-  const double rps = throughput_probe(PollerBackend::kPoll, tpp);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "write-baseline: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  out << "{\n"
-      << "  \"name\": \"serve_poll_baseline\",\n"
-      << "  \"backend\": \"poll\",\n"
-      << "  \"workload\": \"" << (g_smoke ? "smoke" : "full") << "\",\n"
-      << "  \"records_per_sec\": " << static_cast<std::uint64_t>(rps) << "\n"
-      << "}\n";
-  std::printf("write-baseline: poll oracle %.0f records/s -> %s\n", rps,
-              path.c_str());
-  return 0;
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
 }
 
 // ---- CI gates ------------------------------------------------------------
@@ -558,32 +520,29 @@ int run_smoke() {
                  want.c_str(), stats.c_str());
     return 1;
   }
-  // Throughput floor (satellite of the epoll tentpole): the epoll
-  // backend must not serve slower than the poll() oracle. Both probes
-  // run on this machine back to back; the committed baseline is a
-  // second reference, and the floor takes the smaller of the two so a
-  // slower CI box gates against its own live poll number. The margin
-  // absorbs scheduler noise, not regressions — losing to poll() by
-  // >15% means the event loop broke.
-  const double poll_rps = throughput_probe(PollerBackend::kPoll, tpp);
-  const double epoll_rps = throughput_probe(PollerBackend::kEpoll, tpp);
-  const double committed = baseline_records_per_sec(BGL_SERVE_BASELINE_PATH);
-  double floor = poll_rps;
-  if (committed > 0.0) {
-    floor = std::min(floor, committed);
-  } else {
-    std::fprintf(stderr, "smoke: note: no committed baseline at %s\n",
-                 BGL_SERVE_BASELINE_PATH);
+  // Throughput floor: the epoll backend must not serve slower than the
+  // poll() oracle on the same machine. Probes run in alternating
+  // poll/epoll pairs, so slow host drift hits both sides alike, and the
+  // gate compares medians, so one noisy probe cannot fail it. The 15 %
+  // margin absorbs scheduler noise, not regressions — losing to poll()
+  // by more means the event loop broke.
+  constexpr int kPairs = 5;
+  std::vector<double> poll_rps;
+  std::vector<double> epoll_rps;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    poll_rps.push_back(throughput_probe(PollerBackend::kPoll, tpp));
+    epoll_rps.push_back(throughput_probe(PollerBackend::kEpoll, tpp));
   }
-  std::printf(
-      "smoke: throughput epoll=%.0f poll=%.0f committed-baseline=%.0f "
-      "records/s\n",
-      epoll_rps, poll_rps, committed);
-  if (epoll_rps < 0.85 * floor) {
+  const double poll_median = median_of(poll_rps);
+  const double epoll_median = median_of(epoll_rps);
+  std::printf("smoke: throughput medians over %d pairs epoll=%.0f poll=%.0f "
+              "records/s\n",
+              kPairs, epoll_median, poll_median);
+  if (epoll_median < 0.85 * poll_median) {
     std::fprintf(stderr,
-                 "smoke: epoll throughput %.0f below floor %.0f (poll %.0f, "
-                 "baseline %.0f)\n",
-                 epoll_rps, 0.85 * floor, poll_rps, committed);
+                 "smoke: median epoll throughput %.0f below floor %.0f "
+                 "(0.85 x median poll %.0f)\n",
+                 epoll_median, 0.85 * poll_median, poll_median);
     return 1;
   }
   std::printf("smoke: %zu records, %zu warnings served OK\n",
@@ -1170,7 +1129,6 @@ int main(int argc, char** argv) {
   static char min_time[] = "--benchmark_min_time=0.05";
   static char filter[] = "--benchmark_filter=BM_ServeLoadgen/1/0$";
   bool sweep_smoke = false;
-  bool baseline = false;
   bool chaos = false;
   bool chaos_smoke = false;
   for (int i = 0; i < argc; ++i) {
@@ -1180,10 +1138,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--sweep-smoke") == 0) {
       sweep_smoke = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--write-baseline") == 0) {
-      baseline = true;
       continue;
     }
     if (std::strcmp(argv[i], "--chaos") == 0) {
@@ -1201,10 +1155,6 @@ int main(int argc, char** argv) {
       g_smoke = true;  // CI-sized phases and workload
     }
     return run_chaos();
-  }
-  if (baseline) {
-    const ThreePhasePredictor tpp;
-    return write_baseline(BGL_SERVE_BASELINE_PATH, tpp);
   }
   if (sweep_smoke) {
     // Cheap workload for the gate; the full sweep scales itself.

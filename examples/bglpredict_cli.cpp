@@ -75,8 +75,7 @@ int cmd_generate(const CliArgs& args) {
 int cmd_preprocess(const CliArgs& args) {
   RasLog log = load(args);
   PreprocessOptions opt;
-  opt.temporal_threshold = args.get_int("threshold", 300);
-  opt.spatial_threshold = opt.temporal_threshold;
+  opt.threshold = args.get_int("threshold", 300);
   const PreprocessStats stats = preprocess(log, opt);
   const std::string out = args.get("out", "clean.log");
   save_log(out, log);

@@ -3,8 +3,9 @@
 //
 // Trains the meta-learner on the first 80% of a log, then replays the
 // remaining 20% *raw* records through the OnlineEngine — streaming
-// classification + streaming dedup + live prediction — printing each
-// emitted warning with its eventual outcome and the achieved lead time.
+// classification + the offline Phase-1 compression + live prediction —
+// printing each emitted warning with its eventual outcome and the
+// achieved lead time.
 //
 //   $ ./online_prediction [--scale=0.1] [--window-minutes=30] [--max-print=12]
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/binary.hpp"
 #include "common/error.hpp"
 
 namespace bglpred::bgl {
@@ -341,6 +342,27 @@ bool try_parse_location(std::string_view code, Location& out) {
                                static_cast<std::uint8_t>(mid),
                                static_cast<std::uint8_t>(nc),
                                static_cast<std::uint8_t>(io));
+  return true;
+}
+
+void append_location(std::string& out, const Location& loc) {
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(loc.kind));
+  wire::append<std::uint16_t>(out, loc.rack);
+  wire::append<std::uint8_t>(out, loc.midplane);
+  wire::append<std::uint8_t>(out, loc.node_card);
+  wire::append<std::uint8_t>(out, loc.unit);
+}
+
+bool decode_location(const char* p, Location& out) {
+  const auto kind = wire::decode<std::uint8_t>(p);
+  if (kind > static_cast<std::uint8_t>(LocationKind::kServiceCard)) {
+    return false;
+  }
+  out.kind = static_cast<LocationKind>(kind);
+  out.rack = wire::decode<std::uint16_t>(p + 1);
+  out.midplane = wire::decode<std::uint8_t>(p + 3);
+  out.node_card = wire::decode<std::uint8_t>(p + 4);
+  out.unit = wire::decode<std::uint8_t>(p + 5);
   return true;
 }
 

@@ -87,4 +87,12 @@ Location parse_location(const std::string& code);
 /// parse_location would throw.
 bool try_parse_location(std::string_view code, Location& out);
 
+/// The 6-byte wire form of a location (u8 kind, u16 rack, u8 midplane,
+/// u8 node card, u8 unit; little-endian), shared by binary logs, log-store
+/// dictionaries and engine checkpoints.
+inline constexpr std::size_t kLocationWireSize = 6;
+void append_location(std::string& out, const Location& loc);
+/// Returns false, leaving `out` unspecified, on a kind out of range.
+bool decode_location(const char* p, Location& out);
+
 }  // namespace bglpred::bgl

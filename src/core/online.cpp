@@ -5,21 +5,10 @@
 
 #include "common/binary.hpp"
 #include "common/error.hpp"
+#include "raslog/binary_io.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
-
-std::size_t OnlineEngine::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = k.job;
-  h = h * 0x9e3779b97f4a7c15ULL + k.location.rack;
-  h = h * 0x9e3779b97f4a7c15ULL +
-      (static_cast<std::uint64_t>(k.location.kind) << 24 |
-       static_cast<std::uint64_t>(k.location.midplane) << 16 |
-       static_cast<std::uint64_t>(k.location.node_card) << 8 |
-       k.location.unit);
-  h = h * 0x9e3779b97f4a7c15ULL + k.subcategory;
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
 
 bool OnlineEngine::BufferedLater::operator()(const Buffered& a,
                                              const Buffered& b) const {
@@ -35,25 +24,21 @@ bool OnlineEngine::BufferedLater::operator()(const Buffered& a,
   return key(b) < key(a);
 }
 
-OnlineEngine::OnlineEngine(PredictorPtr predictor, Duration dedup_threshold)
-    : OnlineEngine(std::move(predictor),
-                   OnlineOptions{dedup_threshold, /*reorder_horizon=*/0}) {}
-
 OnlineEngine::OnlineEngine(PredictorPtr predictor,
                            const OnlineOptions& options)
-    : predictor_(std::move(predictor)), options_(options) {
+    : predictor_(std::move(predictor)),
+      options_(options),
+      phase1_(options.dedup_threshold) {
   BGL_REQUIRE(predictor_ != nullptr, "online engine needs a predictor");
-  BGL_REQUIRE(options_.dedup_threshold >= 0,
-              "threshold must be non-negative");
   BGL_REQUIRE(options_.reorder_horizon >= 0,
               "reorder horizon must be non-negative");
 }
 
 // bgl:hot-begin(online-submit)
 // The per-record submit path every served stream funnels through:
-// validate -> classify -> dedup -> predictor observe, with the reorder
+// validate -> classify -> Phase 1 -> predictor observe, with the reorder
 // heap in between. The only allocations are container growth (heap,
-// dedup map, warning vector) — amortized, not per record.
+// Phase-1 maps, warning vector) — amortized, not per record.
 bool OnlineEngine::validate(const RasRecord& record) const {
   // Enum fields straight off the wire index fixed tables downstream
   // (the classifier's by-facility phrase index, the catalog); reject
@@ -77,15 +62,12 @@ bool OnlineEngine::validate(const RasRecord& record) const {
   return true;
 }
 
-void OnlineEngine::deliver(const RasRecord& rec, std::vector<Warning>& out) {
-  const Key key{rec.job, rec.location, rec.subcategory};
-  auto [it, inserted] = last_seen_.try_emplace(key, rec.time);
-  if (!inserted && rec.time - it->second <= options_.dedup_threshold) {
-    it->second = rec.time;
+void OnlineEngine::deliver(const RasRecord& rec, Phase1Verdict verdict,
+                           std::vector<Warning>& out) {
+  if (verdict != Phase1Verdict::kKept) {
     bump(stats_.deduplicated, counters_.deduplicated);
     return;
   }
-  it->second = rec.time;
   bump(stats_.forwarded, counters_.forwarded);
   if (auto warning = predictor_->observe(rec)) {
     bump(stats_.warnings, counters_.warnings);
@@ -96,9 +78,9 @@ void OnlineEngine::deliver(const RasRecord& rec, std::vector<Warning>& out) {
 void OnlineEngine::release_until(TimePoint limit, std::vector<Warning>& out) {
   while (!buffer_.empty() && buffer_.front().rec.time <= limit) {
     std::pop_heap(buffer_.begin(), buffer_.end(), BufferedLater{});
-    const RasRecord rec = buffer_.back().rec;
+    const Buffered b = buffer_.back();
     buffer_.pop_back();
-    deliver(rec, out);
+    deliver(b.rec, phase1_.push_hashed(b.rec, b.entry_hash), out);
   }
 }
 
@@ -123,9 +105,11 @@ std::vector<Warning> OnlineEngine::feed(const RasRecord& record,
 
   if (rec.time < high_water_) {
     bump(stats_.reordered, counters_.reordered);
-    if (options_.reorder_horizon == 0) {
-      // No buffer to repair the order with: clamp so predictors (whose
-      // sliding windows assume monotone time) never see time reverse.
+    // A record later than the horizon can repair is clamped, so Phase 1
+    // and the predictors (whose windows assume monotone time) never see
+    // time reverse. With horizon 0 that is every late record.
+    if (high_water_ >= kMinTime + options_.reorder_horizon &&
+        rec.time < high_water_ - options_.reorder_horizon) {
       rec.time = high_water_;
       bump(stats_.clamped, counters_.clamped);
     }
@@ -134,13 +118,14 @@ std::vector<Warning> OnlineEngine::feed(const RasRecord& record,
   }
 
   if (options_.reorder_horizon == 0) {
-    deliver(rec, out);
+    deliver(rec, phase1_.push(rec, entry_data), out);
     return out;
   }
-  buffer_.push_back(Buffered{rec, seq_++});
+  buffer_.push_back(
+      Buffered{rec, Phase1Compressor::entry_hash(entry_data), seq_++});
   std::push_heap(buffer_.begin(), buffer_.end(), BufferedLater{});
   // Release everything the horizon proves settled: no record older than
-  // high_water - horizon can still legally arrive.
+  // high_water - horizon can still arrive unclamped.
   if (high_water_ >= kMinTime + options_.reorder_horizon) {
     release_until(high_water_ - options_.reorder_horizon, out);
   }
@@ -199,61 +184,9 @@ void OnlineEngine::reset_metrics(MetricsRegistry& registry,
 }
 
 namespace {
-constexpr std::string_view kEngineTag = "BGLCKPT1";
+// A layout change needs a new tag, so older blobs are refused by it.
+constexpr std::string_view kEngineTag = "BGLCKPT2";
 
-void write_location(std::ostream& os, const bgl::Location& loc) {
-  wire::write<std::uint8_t>(os, static_cast<std::uint8_t>(loc.kind));
-  wire::write<std::uint16_t>(os, loc.rack);
-  wire::write<std::uint8_t>(os, loc.midplane);
-  wire::write<std::uint8_t>(os, loc.node_card);
-  wire::write<std::uint8_t>(os, loc.unit);
-}
-
-bgl::Location read_location(std::istream& is) {
-  bgl::Location loc;
-  const auto kind = wire::read<std::uint8_t>(is, "location kind");
-  if (kind > static_cast<std::uint8_t>(bgl::LocationKind::kServiceCard)) {
-    throw ParseError("checkpoint location kind out of range");
-  }
-  loc.kind = static_cast<bgl::LocationKind>(kind);
-  loc.rack = wire::read<std::uint16_t>(is, "location rack");
-  loc.midplane = wire::read<std::uint8_t>(is, "location midplane");
-  loc.node_card = wire::read<std::uint8_t>(is, "location node card");
-  loc.unit = wire::read<std::uint8_t>(is, "location unit");
-  return loc;
-}
-
-void write_record(std::ostream& os, const RasRecord& rec) {
-  wire::write<std::int64_t>(os, rec.time);
-  wire::write<std::uint32_t>(os, rec.entry_data);
-  wire::write<std::uint32_t>(os, rec.job);
-  write_location(os, rec.location);
-  wire::write<std::uint8_t>(os, static_cast<std::uint8_t>(rec.event_type));
-  wire::write<std::uint8_t>(os, static_cast<std::uint8_t>(rec.facility));
-  wire::write<std::uint8_t>(os, static_cast<std::uint8_t>(rec.severity));
-  wire::write<std::uint16_t>(os, rec.subcategory);
-}
-
-RasRecord read_record(std::istream& is) {
-  RasRecord rec;
-  rec.time = wire::read<std::int64_t>(is, "record time");
-  rec.entry_data = wire::read<std::uint32_t>(is, "record entry data");
-  rec.job = wire::read<std::uint32_t>(is, "record job");
-  rec.location = read_location(is);
-  const auto event_type = wire::read<std::uint8_t>(is, "record event type");
-  const auto facility = wire::read<std::uint8_t>(is, "record facility");
-  const auto severity = wire::read<std::uint8_t>(is, "record severity");
-  if (event_type > static_cast<std::uint8_t>(EventType::kControl) ||
-      facility >= static_cast<std::uint8_t>(kFacilityCount) ||
-      severity >= static_cast<std::uint8_t>(kSeverityCount)) {
-    throw ParseError("checkpoint record enum field out of range");
-  }
-  rec.event_type = static_cast<EventType>(event_type);
-  rec.facility = static_cast<Facility>(facility);
-  rec.severity = static_cast<Severity>(severity);
-  rec.subcategory = wire::read<std::uint16_t>(is, "record subcategory");
-  return rec;
-}
 }  // namespace
 
 void OnlineEngine::save(std::ostream& os) const {
@@ -262,38 +195,20 @@ void OnlineEngine::save(std::ostream& os) const {
   wire::write_tag(os, kEngineTag);
   wire::write<std::int64_t>(os, options_.dedup_threshold);
   wire::write<std::int64_t>(os, options_.reorder_horizon);
-  wire::write<std::uint64_t>(os, stats_.raw_records);
-  wire::write<std::uint64_t>(os, stats_.deduplicated);
-  wire::write<std::uint64_t>(os, stats_.forwarded);
-  wire::write<std::uint64_t>(os, stats_.warnings);
-  wire::write<std::uint64_t>(os, stats_.degraded);
-  wire::write<std::uint64_t>(os, stats_.reordered);
-  wire::write<std::uint64_t>(os, stats_.clamped);
+  for (const CounterSlot& slot : kCounterSlots) {
+    wire::write<std::uint64_t>(os, stats_.*slot.stat);
+  }
   wire::write<std::int64_t>(os, high_water_);
   wire::write<std::uint64_t>(os, seq_);
   wire::write<std::uint64_t>(os, buffer_.size());
   for (const Buffered& b : buffer_) {
-    write_record(os, b.rec);
-    wire::write<std::uint64_t>(os, b.seq);
+    std::string bytes;
+    append_record_tuple(bytes, b.rec);
+    wire::append<std::uint64_t>(bytes, b.entry_hash);
+    wire::append<std::uint64_t>(bytes, b.seq);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  // The dedup map in sorted key order, for deterministic checkpoint
-  // bytes regardless of hash-table iteration order.
-  std::vector<std::pair<Key, TimePoint>> entries(last_seen_.begin(),
-                                                 last_seen_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              return std::tuple(a.first.job, a.first.location,
-                                a.first.subcategory) <
-                     std::tuple(b.first.job, b.first.location,
-                                b.first.subcategory);
-            });
-  wire::write<std::uint64_t>(os, entries.size());
-  for (const auto& [key, time] : entries) {
-    wire::write<std::uint32_t>(os, key.job);
-    write_location(os, key.location);
-    wire::write<std::uint16_t>(os, key.subcategory);
-    wire::write<std::int64_t>(os, time);
-  }
+  phase1_.save(os);
   wire::write_string(os, predictor_->name());
   predictor_->save_state(os);
 }
@@ -307,20 +222,19 @@ OnlineEngine OnlineEngine::restore(std::istream& is, PredictorPtr fresh) {
   options.reorder_horizon =
       wire::read<std::int64_t>(is, "reorder horizon");
   OnlineEngine engine(std::move(fresh), options);
-  engine.stats_.raw_records = wire::read<std::uint64_t>(is, "raw records");
-  engine.stats_.deduplicated = wire::read<std::uint64_t>(is, "deduplicated");
-  engine.stats_.forwarded = wire::read<std::uint64_t>(is, "forwarded");
-  engine.stats_.warnings = wire::read<std::uint64_t>(is, "warnings");
-  engine.stats_.degraded = wire::read<std::uint64_t>(is, "degraded");
-  engine.stats_.reordered = wire::read<std::uint64_t>(is, "reordered");
-  engine.stats_.clamped = wire::read<std::uint64_t>(is, "clamped");
+  for (const CounterSlot& slot : kCounterSlots) {
+    engine.stats_.*slot.stat = wire::read<std::uint64_t>(is, slot.name);
+  }
   engine.high_water_ = wire::read<std::int64_t>(is, "high water");
   engine.seq_ = wire::read<std::uint64_t>(is, "sequence counter");
+  // No reserve: the count is unchecked input.
   const auto buffered = wire::read<std::uint64_t>(is, "buffer size");
-  engine.buffer_.reserve(buffered);
   for (std::uint64_t i = 0; i < buffered; ++i) {
+    char tuple[kRecordTupleSize] = {};
+    wire::read_exact(is, tuple, kRecordTupleSize, "buffered record");
     Buffered b;
-    b.rec = read_record(is);
+    b.rec = decode_record_tuple(tuple);
+    b.entry_hash = wire::read<std::uint64_t>(is, "buffered entry hash");
     b.seq = wire::read<std::uint64_t>(is, "buffered sequence");
     engine.buffer_.push_back(b);
   }
@@ -328,16 +242,7 @@ OnlineEngine OnlineEngine::restore(std::istream& is, PredictorPtr fresh) {
   // function of the contents, so re-heapify rather than trust the bytes.
   std::make_heap(engine.buffer_.begin(), engine.buffer_.end(),
                  BufferedLater{});
-  const auto dedup_entries = wire::read<std::uint64_t>(is, "dedup map size");
-  engine.last_seen_.reserve(dedup_entries);
-  for (std::uint64_t i = 0; i < dedup_entries; ++i) {
-    Key key;
-    key.job = wire::read<std::uint32_t>(is, "dedup key job");
-    key.location = read_location(is);
-    key.subcategory = wire::read<std::uint16_t>(is, "dedup key subcategory");
-    const auto time = wire::read<std::int64_t>(is, "dedup key time");
-    engine.last_seen_.emplace(key, static_cast<TimePoint>(time));
-  }
+  engine.phase1_.load(is);
   const std::string stored_name = wire::read_string(is, "predictor name");
   if (stored_name != engine.predictor_->name()) {
     throw ParseError("checkpoint predictor '" + stored_name +

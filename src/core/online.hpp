@@ -3,11 +3,11 @@
 // The paper argues the meta-learner is cheap enough to deploy online
 // (§3.3: rule matching is trivial; rule generation runs offline). This
 // adapter wraps a trained predictor behind a raw-record feed: it
-// classifies each incoming record, applies *streaming* temporal
-// compression (the same (JOB_ID, LOCATION, subcategory) ≤ threshold rule
-// as Phase 1, evaluated incrementally), and forwards surviving events to
-// the predictor. examples/online_prediction.cpp drives it against a live
-// replay of a generated log.
+// classifies each incoming record, runs it through the Phase-1 operator
+// that preprocess() runs offline (preprocess/phase1.hpp), and forwards
+// the survivors, so on a time-ordered raw log the predictor sees exactly
+// preprocess(raw) and emits the warnings the offline evaluation scores.
+// examples/online_prediction.cpp drives it against a live replay.
 //
 // Robustness (DESIGN.md §7): real RAS streams are neither clean nor
 // ordered, so the engine
@@ -15,22 +15,21 @@
 //     routes malformed ones to a degraded-mode counter instead of
 //     undefined behavior;
 //   * tolerates bounded out-of-order arrival via a reorder buffer
-//     (`reorder_horizon` seconds); with horizon 0 it falls back to
-//     clamping late timestamps to the high-water mark so predictors
-//     never see time running backwards;
-//   * checkpoints: save() serializes the full engine state (dedup map,
-//     reorder buffer, stats, predictor blob) and restore() resumes a
-//     stream byte-identically to an uninterrupted engine.
+//     (`reorder_horizon` seconds) and clamps a record later than the
+//     horizon to the high-water mark, so predictors never see time
+//     running backwards;
+//   * checkpoints: save() serializes the full engine state (Phase-1
+//     state, reorder buffer, stats, predictor blob) and restore()
+//     resumes a stream byte-identically to an uninterrupted engine.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "predict/predictor.hpp"
-#include "preprocess/compressors.hpp"
+#include "preprocess/phase1.hpp"
 #include "raslog/source.hpp"
 #include "taxonomy/classifier.hpp"
 
@@ -39,33 +38,32 @@ namespace bglpred {
 /// Streaming statistics of the online engine.
 struct OnlineStats {
   std::size_t raw_records = 0;
-  std::size_t deduplicated = 0;   ///< dropped as duplicates
+  std::size_t deduplicated = 0;   ///< dropped by either Phase-1 pass
   std::size_t forwarded = 0;      ///< events handed to the predictor
   std::size_t warnings = 0;
   std::size_t degraded = 0;       ///< malformed records counted, not fed
   std::size_t reordered = 0;      ///< records that arrived out of order
-  std::size_t clamped = 0;        ///< late timestamps clamped (horizon 0)
+  std::size_t clamped = 0;        ///< late beyond the horizon, clamped
 };
 
 /// Engine tunables.
 struct OnlineOptions {
-  /// Streaming temporal-compression threshold (Phase-1 rule).
+  /// Threshold of both Phase-1 passes (temporal and spatial).
   Duration dedup_threshold = kDefaultCompressionThreshold;
   /// Out-of-order tolerance in seconds. Records are held in a reorder
   /// buffer and released once the stream's high-water mark has advanced
   /// past their time by this horizon; any skew ≤ horizon is fully
-  /// repaired (the predictor sees the canonically sorted stream). 0
-  /// disables buffering: late records are clamped to the high-water
-  /// mark instead.
+  /// repaired (the predictor sees the canonically sorted stream). A
+  /// record later than that is clamped to the high-water mark. 0
+  /// disables buffering, so every late record is clamped.
   Duration reorder_horizon = 0;
 };
 
 /// See file comment. The engine owns the (already trained) predictor.
 class OnlineEngine {
  public:
-  OnlineEngine(PredictorPtr predictor,
-               Duration dedup_threshold = kDefaultCompressionThreshold);
-  OnlineEngine(PredictorPtr predictor, const OnlineOptions& options);
+  explicit OnlineEngine(PredictorPtr predictor,
+                        const OnlineOptions& options = {});
 
   /// Feeds one raw record (entry text is the raw ENTRY_DATA). Under a
   /// reorder horizon, one feed can release zero or several buffered
@@ -83,7 +81,7 @@ class OnlineEngine {
   std::vector<Warning> feed_source(RecordBatchSource& source);
 
   /// Serializes the complete engine state — options, stats, reorder
-  /// buffer, dedup map, and the predictor's checkpoint blob — so a
+  /// buffer, Phase-1 state, and the predictor's checkpoint blob — so a
   /// restored engine resumes the stream byte-identically. Requires the
   /// predictor to be checkpointable.
   void save(std::ostream& os) const;
@@ -115,20 +113,13 @@ class OnlineEngine {
                             const std::string& prefix);
 
  private:
-  struct Key {
-    bgl::JobId job;
-    bgl::Location location;
-    SubcategoryId subcategory;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-  /// A classified record parked in the reorder buffer. `seq` is the
-  /// arrival index — the final comparator tie-break, so the release
-  /// order is deterministic even for fully identical records.
+  /// A classified record parked in the reorder buffer, with the hash of
+  /// its entry text (the text itself is not kept). `seq` is the arrival
+  /// index — the final comparator tie-break, so the release order is
+  /// deterministic even for fully identical records.
   struct Buffered {
     RasRecord rec;
+    std::uint64_t entry_hash = 0;
     std::uint64_t seq = 0;
   };
   struct BufferedLater {
@@ -148,9 +139,9 @@ class OnlineEngine {
   };
 
   /// One row per engine counter: registry name, the OnlineStats field it
-  /// mirrors, and the BoundCounters slot it binds. attach_metrics and
-  /// reset_metrics both walk this table, so the name set cannot drift
-  /// between them (definition in online.cpp).
+  /// mirrors, and the BoundCounters slot it binds. attach_metrics,
+  /// reset_metrics and the checkpoint all walk this table, so the counter
+  /// set cannot drift between them (definition in online.cpp).
   struct CounterSlot {
     const char* name;
     std::size_t OnlineStats::*stat;
@@ -170,8 +161,10 @@ class OnlineEngine {
   /// Validates the raw enum fields; malformed records are counted as
   /// degraded and dropped.
   bool validate(const RasRecord& record) const;
-  /// Dedups and forwards one canonically-ordered record.
-  void deliver(const RasRecord& rec, std::vector<Warning>& out);
+  /// Counts Phase 1's verdict on one canonically-ordered record and
+  /// forwards the record to the predictor if it was kept.
+  void deliver(const RasRecord& rec, Phase1Verdict verdict,
+               std::vector<Warning>& out);
   /// Releases every buffered record at or below the release time.
   void release_until(TimePoint limit, std::vector<Warning>& out);
 
@@ -179,7 +172,7 @@ class OnlineEngine {
   OnlineOptions options_;
   BoundCounters counters_;
   EventClassifier classifier_;
-  std::unordered_map<Key, TimePoint, KeyHash> last_seen_;
+  Phase1Compressor phase1_;
   OnlineStats stats_;
   // Min-heap (via std::push_heap with the inverted comparator) of parked
   // records, plus the stream's high-water mark and arrival counter.

@@ -79,6 +79,10 @@ Manifest decode_manifest(std::string_view bytes) {
   p += 1;
   const auto count = wire::decode<std::uint32_t>(p);
   p += 4;
+  // Each entry: a 4-byte name length, a non-empty name, 36 bytes.
+  if (count > static_cast<std::size_t>(end - p) / (4 + 1 + 36)) {
+    fail("entry count exceeds the manifest's bytes");
+  }
   manifest.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     need(4, "name length");

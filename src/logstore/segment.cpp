@@ -20,15 +20,6 @@ std::uint64_t pack_location(const bgl::Location& loc) {
          (static_cast<std::uint64_t>(loc.unit) << 40);
 }
 
-/// Appends the 6-byte on-disk location encoding.
-void append_location(std::string& out, const bgl::Location& loc) {
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(loc.kind));
-  wire::append<std::uint16_t>(out, loc.rack);
-  wire::append<std::uint8_t>(out, loc.midplane);
-  wire::append<std::uint8_t>(out, loc.node_card);
-  wire::append<std::uint8_t>(out, loc.unit);
-}
-
 [[noreturn]] void fail_open(StoreFaultClass cls, const std::string& path,
                             const std::string& what) {
   throw StoreCorruption(cls, "segment " + path + ": " + what);
@@ -78,7 +69,7 @@ void SegmentBuilder::add(const RasRecord& rec, std::string_view entry,
   const auto [loc_it, loc_new] = loc_ids_.try_emplace(
       loc_key, static_cast<std::uint32_t>(loc_ids_.size()));
   if (loc_new) {
-    append_location(loc_dict_, rec.location);
+    bgl::append_location(loc_dict_, rec.location);
   }
   put_varint(locs_, loc_it->second);
 
@@ -355,6 +346,11 @@ std::shared_ptr<const Segment> Segment::open(const std::string& path) {
     dneed(4);
     const auto count = wire::decode<std::uint32_t>(dp);
     dp += 4;
+    // Each entry takes at least its 4-byte length.
+    if (count > static_cast<std::size_t>(dend - dp) / 4) {
+      fail_open(StoreFaultClass::kBadDictionary, path,
+                "entry dictionary count exceeds its bytes");
+    }
     seg->entry_dict_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       dneed(4);
@@ -378,24 +374,18 @@ std::shared_ptr<const Segment> Segment::open(const std::string& path) {
                 "location dictionary truncated");
     }
     const auto count = wire::decode<std::uint32_t>(dict.data());
-    if (dict.size() != 4 + static_cast<std::size_t>(count) * 6) {
+    if (dict.size() != 4 + count * bgl::kLocationWireSize) {
       fail_open(StoreFaultClass::kBadDictionary, path,
                 "location dictionary size mismatch");
     }
     seg->loc_dict_.reserve(count);
     const char* dp = dict.data() + 4;
-    for (std::uint32_t i = 0; i < count; ++i, dp += 6) {
-      const auto kind = wire::decode<std::uint8_t>(dp);
-      if (kind > static_cast<std::uint8_t>(bgl::LocationKind::kServiceCard)) {
+    for (std::uint32_t i = 0; i < count; ++i, dp += bgl::kLocationWireSize) {
+      bgl::Location loc;
+      if (!bgl::decode_location(dp, loc)) {
         fail_open(StoreFaultClass::kBadDictionary, path,
                   "invalid location kind");
       }
-      bgl::Location loc;
-      loc.kind = static_cast<bgl::LocationKind>(kind);
-      loc.rack = wire::decode<std::uint16_t>(dp + 1);
-      loc.midplane = wire::decode<std::uint8_t>(dp + 3);
-      loc.node_card = wire::decode<std::uint8_t>(dp + 4);
-      loc.unit = wire::decode<std::uint8_t>(dp + 5);
       seg->loc_dict_.push_back(loc);
     }
   }

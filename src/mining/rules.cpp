@@ -408,8 +408,7 @@ RuleSet load_rules(std::istream& is) {
   // A rule body/head is bounded by the item universe; anything larger
   // means a corrupt stream, not a big model.
   constexpr std::uint32_t kMaxRuleItems = 1u << 16;
-  std::vector<Rule> rules;
-  rules.reserve(count);
+  std::vector<Rule> rules;  // no reserve: the count is unchecked input
   for (std::uint64_t i = 0; i < count; ++i) {
     Rule rule;
     const auto body_size = wire::read<std::uint32_t>(is, "rule body size");

@@ -1,29 +1,21 @@
 #include "preprocess/fused_ingest.hpp"
 
 #include <fstream>
-#include <unordered_map>
 
 #include "common/error.hpp"
-#include "preprocess/compressors.hpp"
 #include "raslog/fast_io.hpp"
 #include "taxonomy/classifier.hpp"
 
 namespace bglpred {
 namespace {
 
-/// The shared classify -> temporal -> spatial per-record core of both
-/// fused entry points (text scanner and record-batch source). Holds the
-/// output log, the last-seen maps, and the running stats; push() is the
-/// per-record body, finish() computes the derived tallies.
+/// The shared classify -> Phase-1 per-record core of both fused entry
+/// points (text scanner and record-batch source): the output log, the
+/// Phase-1 operator, and the running stats.
 class FusedPipeline {
  public:
   explicit FusedPipeline(const PreprocessOptions& options)
-      : options_(options) {
-    BGL_REQUIRE(options.temporal_threshold >= 0,
-                "threshold must be non-negative");
-    BGL_REQUIRE(options.spatial_threshold >= 0,
-                "threshold must be non-negative");
-  }
+      : phase1_(options.threshold) {}
 
   void push(const RasRecord& parsed, std::string_view entry) {
     BGL_REQUIRE(!have_prev_ || parsed.time >= prev_time_,
@@ -31,70 +23,34 @@ class FusedPipeline {
                 "(use read_log + preprocess for unsorted input)");
     have_prev_ = true;
     prev_time_ = parsed.time;
-    ++st_.raw_records;
 
-    // Intern unconditionally — even records the compressors drop —
-    // so pool ids line up with the three-step path, where read_log
-    // interns every kept record before any compression runs.
+    // Intern unconditionally — even records Phase 1 drops — so pool ids
+    // line up with the three-step path, where read_log interns every
+    // record before any compression runs.
     RasRecord rec = parsed;
     rec.entry_data = log_.pool().intern(entry);
-    classifier_.classify_record(log_.pool().str(rec.entry_data), rec,
-                                st_.classification);
-
-    // Temporal pass (gap-based clustering, last_seen advances on
-    // every record — same update rule as compress_temporal).
-    ++st_.temporal.input_records;
-    const detail::TemporalKey tkey{rec.job, rec.location, rec.subcategory};
-    auto [tit, t_new] = temporal_seen_.try_emplace(tkey, rec.time);
-    if (!t_new && rec.time - tit->second <= options_.temporal_threshold) {
-      tit->second = rec.time;
-      return;
+    classifier_.classify_record(entry, rec, st_.classification);
+    const Phase1Verdict verdict = phase1_.push(rec, entry);
+    ++verdicts_[static_cast<std::size_t>(verdict)];
+    if (verdict == Phase1Verdict::kKept) {
+      log_.append(rec);
     }
-    tit->second = rec.time;
-    ++st_.temporal.output_records;
-
-    // Spatial pass — sees only temporal survivors, exactly like the
-    // batch sequence compress_temporal -> compress_spatial.
-    ++st_.spatial.input_records;
-    const detail::SpatialKey skey{rec.entry_data, rec.job};
-    auto [sit, s_new] = spatial_seen_.try_emplace(skey, rec.time);
-    if (!s_new && rec.time - sit->second <= options_.spatial_threshold) {
-      sit->second = rec.time;
-      return;
-    }
-    sit->second = rec.time;
-    ++st_.spatial.output_records;
-    log_.append(rec);
   }
 
   RasLog finish(PreprocessStats* stats) {
-    st_.temporal.removed =
-        st_.temporal.input_records - st_.temporal.output_records;
-    st_.spatial.removed =
-        st_.spatial.input_records - st_.spatial.output_records;
-    st_.unique_events = log_.size();
-    for (const RasRecord& rec : log_.records()) {
-      if (rec.fatal()) {
-        ++st_.unique_fatal_events;
-        const MainCategory main = catalog().info(rec.subcategory).main;
-        ++st_.fatal_per_main[static_cast<std::size_t>(main)];
-      }
-    }
     if (stats != nullptr) {
+      st_.count(verdicts_, log_.records());
       *stats = st_;
     }
     return std::move(log_);
   }
 
  private:
-  PreprocessOptions options_;
   RasLog log_;
   PreprocessStats st_;
+  PreprocessStats::Verdicts verdicts_{};
   const EventClassifier classifier_;
-  std::unordered_map<detail::TemporalKey, TimePoint, detail::TemporalKeyHash>
-      temporal_seen_;
-  std::unordered_map<detail::SpatialKey, TimePoint, detail::SpatialKeyHash>
-      spatial_seen_;
+  Phase1Compressor phase1_;
   TimePoint prev_time_ = 0;
   bool have_prev_ = false;
 };

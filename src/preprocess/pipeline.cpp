@@ -2,28 +2,43 @@
 
 namespace bglpred {
 
-PreprocessStats preprocess(RasLog& log, const PreprocessOptions& options) {
-  PreprocessStats stats;
-  stats.raw_records = log.size();
+void PreprocessStats::count(const Verdicts& verdicts,
+                            const std::vector<RasRecord>& kept) {
+  const auto [kept_count, temporal_dups, spatial_dups] = verdicts;
+  unique_events = kept_count;
+  raw_records = kept_count + temporal_dups + spatial_dups;
+  temporal = {raw_records, raw_records - temporal_dups, temporal_dups};
+  spatial = {temporal.output_records, kept_count, spatial_dups};
+  for (const RasRecord& rec : kept) {
+    if (rec.fatal()) {
+      ++unique_fatal_events;
+      const MainCategory main = catalog().info(rec.subcategory).main;
+      ++fatal_per_main[static_cast<std::size_t>(main)];
+    }
+  }
+}
 
+PreprocessStats preprocess(RasLog& log, const PreprocessOptions& options) {
   if (!log.is_time_sorted()) {
     log.sort_by_time();
   }
-
   const EventClassifier classifier;
-  stats.classification = classifier.classify_all(log);
-
-  stats.temporal = compress_temporal(log, options.temporal_threshold);
-  stats.spatial = compress_spatial(log, options.spatial_threshold);
-
-  stats.unique_events = log.size();
-  for (const RasRecord& rec : log.records()) {
-    if (rec.fatal()) {
-      ++stats.unique_fatal_events;
-      const MainCategory main = catalog().info(rec.subcategory).main;
-      ++stats.fatal_per_main[static_cast<std::size_t>(main)];
+  Phase1Compressor phase1(options.threshold);
+  PreprocessStats stats;
+  PreprocessStats::Verdicts verdicts{};
+  auto& records = log.mutable_records();
+  std::size_t out = 0;
+  for (RasRecord& rec : records) {
+    const std::string_view entry = log.pool().str(rec.entry_data);
+    classifier.classify_record(entry, rec, stats.classification);
+    const Phase1Verdict verdict = phase1.push(rec, entry);
+    ++verdicts[static_cast<std::size_t>(verdict)];
+    if (verdict == Phase1Verdict::kKept) {
+      records[out++] = rec;
     }
   }
+  records.resize(out);
+  stats.count(verdicts, records);
   return stats;
 }
 

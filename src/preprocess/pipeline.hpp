@@ -3,9 +3,10 @@
 // the summary statistics reported in Tables 1 and 4.
 #pragma once
 
+#include <array>
 #include <vector>
 
-#include "preprocess/compressors.hpp"
+#include "preprocess/phase1.hpp"
 #include "raslog/log.hpp"
 #include "taxonomy/classifier.hpp"
 
@@ -13,8 +14,8 @@ namespace bglpred {
 
 /// Tunables for the preprocessing pipeline.
 struct PreprocessOptions {
-  Duration temporal_threshold = kDefaultCompressionThreshold;
-  Duration spatial_threshold = kDefaultCompressionThreshold;
+  /// Gap threshold of both compression passes (§3.1).
+  Duration threshold = kDefaultCompressionThreshold;
 };
 
 /// End-to-end Phase-1 statistics.
@@ -29,6 +30,14 @@ struct PreprocessStats {
   /// Compressed FATAL/FAILURE counts per main category (Table 4 rows).
   std::vector<std::size_t> fatal_per_main =
       std::vector<std::size_t>(kMainCategoryCount, 0);
+
+  /// Verdict tallies of one Phase-1 run, indexed by Phase1Verdict
+  /// (kept, temporal duplicates, spatial duplicates).
+  using Verdicts = std::array<std::size_t, 3>;
+
+  /// Fills every count but `classification` from a run's verdict tallies
+  /// and the records it kept.
+  void count(const Verdicts& verdicts, const std::vector<RasRecord>& kept);
 };
 
 /// Runs Phase 1 in place on `log` (must be or will be time-sorted) and

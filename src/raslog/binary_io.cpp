@@ -14,28 +14,29 @@ namespace {
 
 constexpr char kMagic[] = "BGLRAS1\n";
 constexpr std::size_t kMagicSize = sizeof(kMagic) - 1;
-constexpr std::size_t kRecordSize = 28;
 
-/// Decodes and validates one fixed-size record tuple. Throws ParseError
-/// on out-of-range enum or string-table values.
-RasRecord decode_record(const char* p, std::uint32_t string_count) {
+}  // namespace
+
+void append_record_tuple(std::string& out, const RasRecord& rec) {
+  wire::append<std::int64_t>(out, rec.time);
+  wire::append<std::uint32_t>(out, rec.entry_data);
+  wire::append<std::uint32_t>(out, rec.job);
+  bgl::append_location(out, rec.location);
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.event_type));
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.facility));
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
+  wire::append<std::uint16_t>(out, rec.subcategory);
+  wire::append<std::uint8_t>(out, 0);  // pad to 28 bytes
+}
+
+RasRecord decode_record_tuple(const char* p) {
   RasRecord rec;
   rec.time = wire::decode<std::int64_t>(p);
   rec.entry_data = wire::decode<std::uint32_t>(p + 8);
-  if (rec.entry_data >= string_count) {
-    throw ParseError("binary log record references unknown string");
-  }
   rec.job = wire::decode<std::uint32_t>(p + 12);
-  rec.location.kind =
-      static_cast<bgl::LocationKind>(wire::decode<std::uint8_t>(p + 16));
-  if (static_cast<int>(rec.location.kind) >
-      static_cast<int>(bgl::LocationKind::kServiceCard)) {
+  if (!bgl::decode_location(p + 16, rec.location)) {
     throw ParseError("binary log record has invalid location kind");
   }
-  rec.location.rack = wire::decode<std::uint16_t>(p + 17);
-  rec.location.midplane = wire::decode<std::uint8_t>(p + 19);
-  rec.location.node_card = wire::decode<std::uint8_t>(p + 20);
-  rec.location.unit = wire::decode<std::uint8_t>(p + 21);
   const auto event_type = wire::decode<std::uint8_t>(p + 22);
   const auto facility = wire::decode<std::uint8_t>(p + 23);
   const auto severity = wire::decode<std::uint8_t>(p + 24);
@@ -50,8 +51,6 @@ RasRecord decode_record(const char* p, std::uint32_t string_count) {
   return rec;
 }
 
-}  // namespace
-
 std::string encode_log_binary(const RasLog& log) {
   std::string out;
   out.append(kMagic, kMagicSize);
@@ -64,21 +63,7 @@ std::string encode_log_binary(const RasLog& log) {
     out += s;
   }
   for (const RasRecord& rec : log.records()) {
-    wire::append<std::int64_t>(out, rec.time);
-    wire::append<std::uint32_t>(out, rec.entry_data);
-    wire::append<std::uint32_t>(out, rec.job);
-    wire::append<std::uint8_t>(out,
-                               static_cast<std::uint8_t>(rec.location.kind));
-    wire::append<std::uint16_t>(out, rec.location.rack);
-    wire::append<std::uint8_t>(out, rec.location.midplane);
-    wire::append<std::uint8_t>(out, rec.location.node_card);
-    wire::append<std::uint8_t>(out, rec.location.unit);
-    wire::append<std::uint8_t>(out,
-                               static_cast<std::uint8_t>(rec.event_type));
-    wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.facility));
-    wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
-    wire::append<std::uint16_t>(out, rec.subcategory);
-    wire::append<std::uint8_t>(out, 0);  // pad to 28 bytes
+    append_record_tuple(out, rec);
   }
   return out;
 }
@@ -134,11 +119,15 @@ RasLog read_log_binary(std::istream& is, const ReadOptions& options,
       }
     }
 
-    std::vector<char> buffer(kRecordSize);
+    char tuple[kRecordTupleSize] = {};
     for (std::uint64_t r = 0; r < record_count; ++r) {
-      wire::read_exact(is, buffer.data(), kRecordSize, "record");
+      wire::read_exact(is, tuple, kRecordTupleSize, "record");
       try {
-        log.append(decode_record(buffer.data(), string_count));
+        const RasRecord rec = decode_record_tuple(tuple);
+        if (rec.entry_data >= string_count) {
+          throw ParseError("binary log record references unknown string");
+        }
+        log.append(rec);
         ++rep.records_kept;
       } catch (const ParseError&) {
         // A record that decodes but fails validation occupies its full

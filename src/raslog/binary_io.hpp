@@ -32,6 +32,13 @@
 
 namespace bglpred {
 
+/// One record as the fixed 28-byte tuple above — also the online engine's
+/// checkpoint form of a buffered record. decode_record_tuple throws
+/// ParseError on out-of-range enum fields; entry_data is not checked.
+inline constexpr std::size_t kRecordTupleSize = 28;
+void append_record_tuple(std::string& out, const RasRecord& rec);
+RasRecord decode_record_tuple(const char* p);
+
 /// Serializes the whole log to the binary wire form.
 std::string encode_log_binary(const RasLog& log);
 

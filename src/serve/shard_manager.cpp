@@ -225,8 +225,7 @@ ShardManager::Stream ShardManager::decode_stream_state(
   const std::string warning_bytes =
       wire::read_string(is, "pending warnings", kMaxPayload);
   BytesReader reader(warning_bytes);
-  std::vector<Warning> pending;
-  pending.reserve(pending_count);
+  std::vector<Warning> pending;  // no reserve: the count is unchecked input
   for (std::uint32_t w = 0; w < pending_count; ++w) {
     pending.push_back(decode_warning(reader));
   }

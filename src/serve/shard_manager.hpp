@@ -4,7 +4,7 @@
 // job, location group, or collector, the client decides) are routed to a
 // fixed set of shards by a deterministic hash, so a stream's records are
 // always processed by the same shard in arrival order. Each stream owns
-// a full OnlineEngine (its own dedup map, reorder buffer, and predictor
+// a full OnlineEngine (its own Phase-1 state, reorder buffer, and predictor
 // state), which is what makes the served path byte-equivalent to running
 // one in-process engine per stream.
 //

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/online.hpp"
 #include "core/three_phase.hpp"
@@ -150,17 +151,32 @@ TEST(CheckpointTagTest, RuleSetBlobLeadsWithBglRule1Tag) {
   EXPECT_EQ(loaded.rules()[0].to_string(), rules.rules()[0].to_string());
 }
 
-TEST(CheckpointTagTest, OnlineEngineBlobLeadsWithBglCkpt1Tag) {
+TEST(CheckpointTagTest, OnlineEngineBlobLeadsWithBglCkpt2Tag) {
   const ThreePhasePredictor tpp;
   OnlineEngine engine(tpp.make_predictor(Method::kEveryFailure));
   engine.feed(event(1000, "torusFailure"), "torusFailure");
 
   std::stringstream blob;
   engine.save(blob);
-  EXPECT_EQ(blob.str().substr(0, 8), "BGLCKPT1");
+  EXPECT_EQ(blob.str().substr(0, 8), "BGLCKPT2");
   const OnlineEngine restored =
       OnlineEngine::restore(blob, tpp.make_predictor(Method::kEveryFailure));
   EXPECT_EQ(restored.stats().raw_records, engine.stats().raw_records);
+}
+
+TEST(CheckpointTagTest, OnlineEngineRefusesBglCkpt1Blob) {
+  // BGLCKPT1 engines carried no spatial Phase-1 state; resuming one would
+  // forward spatial duplicates the offline pipeline drops.
+  const ThreePhasePredictor tpp;
+  OnlineEngine engine(tpp.make_predictor(Method::kEveryFailure));
+  std::stringstream blob;
+  engine.save(blob);
+  std::string bytes = blob.str();
+  bytes.replace(0, 8, "BGLCKPT1");
+  std::istringstream old(bytes);
+  EXPECT_THROW(
+      OnlineEngine::restore(old, tpp.make_predictor(Method::kEveryFailure)),
+      ParseError);
 }
 
 TEST(CheckpointTagTest, ShardSetBlobLeadsWithBglSrv1Tag) {

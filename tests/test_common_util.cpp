@@ -4,6 +4,7 @@
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/string_pool.hpp"
 #include "common/table.hpp"
 
@@ -11,6 +12,29 @@ namespace bglpred {
 namespace {
 
 // ---- StringPool -------------------------------------------------------
+
+TEST(StableHashTest, ValuesArePinned) {
+  // Engine checkpoints store these values: a change to the function is a
+  // checkpoint format change and needs a new engine tag.
+  EXPECT_EQ(stable_hash64(""), 0x0000000000000000ULL);
+  EXPECT_EQ(stable_hash64("a"), 0x95da58f99f363d7dULL);
+  EXPECT_EQ(stable_hash64("kernel panic"), 0xdfb6c81c8a9045eaULL);
+  EXPECT_EQ(stable_hash64("ciod: Error reading message prefix after "
+                          "LOGIN_MESSAGE on CioStream socket to "
+                          "172.16.96.116:33569"),
+            0x471757d5ed83b995ULL);
+}
+
+TEST(StableHashTest, LengthAndEveryByteMatter) {
+  EXPECT_NE(stable_hash64(std::string_view("\0", 1)), stable_hash64(""));
+  EXPECT_NE(stable_hash64("kernel panic"), stable_hash64("kernel panic "));
+  const std::string base = "machine check interrupt on node 17 (bank 3)";
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    std::string flipped = base;
+    flipped[i] = static_cast<char>(flipped[i] ^ 1);
+    EXPECT_NE(stable_hash64(flipped), stable_hash64(base)) << "byte " << i;
+  }
+}
 
 TEST(StringPoolTest, InternIsIdempotent) {
   StringPool pool;

@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/binary.hpp"
+#include "common/crc32.hpp"
 #include "faultinject/store_faults.hpp"
 #include "logstore/convert.hpp"
 #include "logstore/cursor.hpp"
+#include "logstore/format.hpp"
+#include "logstore/manifest.hpp"
+#include "logstore/segment.hpp"
 #include "logstore/store.hpp"
 #include "raslog/io.hpp"
 #include "simgen/generator.hpp"
@@ -103,6 +110,69 @@ TEST(LogStoreFaultTest, StrictOpenRaisesTypedDiagnostics) {
       }
     }
   }
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t value) {
+  for (std::size_t b = 0; b < 4; ++b) {
+    bytes[at + b] = static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+/// `open` must refuse the input for its count, with the typed class.
+template <typename Fn>
+void expect_count_refused(Fn&& open, logstore::StoreFaultClass expected) {
+  try {
+    open();
+    ADD_FAILURE() << "accepted a count larger than its bytes";
+  } catch (const logstore::StoreCorruption& e) {
+    EXPECT_EQ(static_cast<int>(e.cls()), static_cast<int>(expected))
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("count exceeds"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LogStoreFaultTest, EntryDictionaryCountLargerThanItsBytesIsTyped) {
+  // CRCs recomputed, so only the count is wrong: the reader must refuse
+  // it as a bad dictionary before reserving 2^32-1 entries.
+  const std::string dir = build_store(oracle_log(1), "store_dict_count");
+  const std::string path = dir + "/seg-000000.bgls";
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Trailer: u32 footer CRC, u32 footer size, end tag. Footer: tag,
+  // version, record count, min/max time, block records, column count,
+  // then 24 bytes per column (id, offset, size, CRC).
+  const std::size_t footer_size =
+      wire::decode<std::uint32_t>(bytes.data() + bytes.size() - 12);
+  const std::size_t footer_at = bytes.size() - 16 - footer_size;
+  const std::size_t column = footer_at + 44 + logstore::kColEntryDict * 24;
+  const auto offset = wire::decode<std::uint64_t>(bytes.data() + column + 4);
+  const auto size = wire::decode<std::uint64_t>(bytes.data() + column + 12);
+  put_u32(bytes, offset, 0xffffffffu);
+  put_u32(bytes, column + 20,
+          crc32(std::string_view(bytes.data() + offset, size)));
+  put_u32(bytes, bytes.size() - 16,
+          crc32(std::string_view(bytes.data() + footer_at, footer_size)));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  expect_count_refused([&] { logstore::Segment::open(path); },
+                     logstore::StoreFaultClass::kBadDictionary);
+}
+
+TEST(LogStoreFaultTest, ManifestCountLargerThanItsBytesIsTyped) {
+  std::string bytes = logstore::encode_manifest(logstore::Manifest{});
+  // Tag, u32 version, u8 sealed, then the u32 entry count; CRC last.
+  put_u32(bytes, logstore::kManifestTag.size() + 4 + 1, 0xffffffffu);
+  put_u32(bytes, bytes.size() - 4,
+          crc32(std::string_view(bytes.data(), bytes.size() - 4)));
+  expect_count_refused([&] { logstore::decode_manifest(bytes); },
+                     logstore::StoreFaultClass::kBadManifest);
 }
 
 TEST(LogStoreFaultTest, LenientOpenSalvagesIntactSegments) {

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
 
+#include "common/binary.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mining/apriori.hpp"
@@ -324,6 +327,24 @@ TEST(RuleSetTest, SortedByConfidenceAndBestMatch) {
   ASSERT_NE(best, nullptr);
   EXPECT_DOUBLE_EQ(best->confidence, 0.4);
   EXPECT_EQ(set.best_match({7, 8}), nullptr);
+}
+
+TEST(RuleSetTest, LoadRefusesRuleCountsLargerThanTheStream) {
+  // The count is read before any rule: it must fail on truncation, not
+  // allocate for 2^40 rules first.
+  for (const std::uint64_t count : {std::uint64_t{0xffffffffu},
+                                    std::uint64_t{1} << 40}) {
+    std::stringstream blob;
+    wire::write_tag(blob, "BGLRULE1");
+    wire::write<std::uint64_t>(blob, count);
+    try {
+      load_rules(blob);
+      ADD_FAILURE() << "loaded " << count << " rules from an empty stream";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("rule body"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RuleTest, ToStringUsesCatalogNames) {

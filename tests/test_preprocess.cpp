@@ -1,13 +1,23 @@
-// Tests for Phase-1 temporal/spatial compression and the pipeline.
+// Tests for Phase-1 temporal/spatial compression: the two-pass oracle,
+// the incremental operator, and the pipeline.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/binary.hpp"
 #include "common/error.hpp"
+#include "phase1_oracle.hpp"
 #include "preprocess/pipeline.hpp"
 #include "raslog/log.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
 namespace {
+
+using oracle::compress_spatial;
+using oracle::compress_temporal;
 
 RasRecord make(TimePoint t, bgl::JobId job, const bgl::Location& loc,
                SubcategoryId subcat) {
@@ -24,6 +34,7 @@ RasRecord make(TimePoint t, bgl::JobId job, const bgl::Location& loc,
 
 const bgl::Location kChipA = bgl::Location::make_compute_chip(0, 0, 0, 0);
 const bgl::Location kChipB = bgl::Location::make_compute_chip(0, 0, 0, 1);
+const bgl::Location kChipC = bgl::Location::make_compute_chip(0, 0, 0, 2);
 
 class CompressorTest : public ::testing::Test {
  protected:
@@ -135,6 +146,126 @@ TEST_F(CompressorTest, CompressionRatio) {
   EXPECT_DOUBLE_EQ(r.compression_ratio(), 0.25);
   CompressionResult empty;
   EXPECT_DOUBLE_EQ(empty.compression_ratio(), 1.0);
+}
+
+// ---- the incremental operator ---------------------------------------------
+
+class Phase1CompressorTest : public CompressorTest {};
+
+TEST_F(Phase1CompressorTest, TemporalThenSpatialVerdicts) {
+  Phase1Compressor phase1(300);
+  EXPECT_EQ(phase1.push(make(100, 7, kChipA, torus_), "fault"),
+            Phase1Verdict::kKept);
+  // Same (job, location, subcategory) 50 s later: the temporal pass.
+  EXPECT_EQ(phase1.push(make(150, 7, kChipA, torus_), "fault"),
+            Phase1Verdict::kTemporalDuplicate);
+  // Same text and job from another location: the spatial pass.
+  EXPECT_EQ(phase1.push(make(160, 7, kChipB, torus_), "fault"),
+            Phase1Verdict::kSpatialDuplicate);
+  // Another job, or another text, is another fault.
+  EXPECT_EQ(phase1.push(make(170, 8, kChipC, torus_), "fault"),
+            Phase1Verdict::kKept);
+  EXPECT_EQ(phase1.push(make(180, 7, kChipC, torus_), "other fault"),
+            Phase1Verdict::kKept);
+  // Gap-based: 640 s after the last spatial sighting is a new cluster.
+  EXPECT_EQ(phase1.push(make(800, 7, kChipC, socket_), "fault"),
+            Phase1Verdict::kKept);
+}
+
+TEST_F(Phase1CompressorTest, SpatialPassSeesOnlyTemporalSurvivors) {
+  // The batch pipeline runs the spatial pass over the temporal pass's
+  // output, so a record the temporal pass drops must not refresh the
+  // spatial last-seen time.
+  Phase1Compressor phase1(300);
+  EXPECT_EQ(phase1.push(make(100, 7, kChipA, torus_), "fault"),
+            Phase1Verdict::kKept);
+  EXPECT_EQ(phase1.push(make(350, 7, kChipA, torus_), "fault"),
+            Phase1Verdict::kTemporalDuplicate);
+  // 400 s after the last *spatial* sighting (100), though only 150 s
+  // after the temporally dropped one.
+  EXPECT_EQ(phase1.push(make(500, 7, kChipB, torus_), "fault"),
+            Phase1Verdict::kKept);
+}
+
+TEST_F(Phase1CompressorTest, HashedPushMatchesTextPush) {
+  Phase1Compressor by_text(300);
+  Phase1Compressor by_hash(300);
+  const char* texts[] = {"a", "b", "a", "c", "b", "a"};
+  for (int i = 0; i < 6; ++i) {
+    const RasRecord rec =
+        make(100 + 40 * i, 1, i % 2 == 0 ? kChipA : kChipB, torus_);
+    EXPECT_EQ(by_text.push(rec, texts[i]),
+              by_hash.push_hashed(rec, Phase1Compressor::entry_hash(texts[i])))
+        << "record " << i;
+  }
+}
+
+TEST_F(Phase1CompressorTest, SaveLoadRoundTripKeepsBothPasses) {
+  // One job, 20 s apart, four texts: every fifth record repeats its
+  // predecessor's chip (a temporal duplicate); the rest come from new
+  // chips, so the spatial pass decides them from state saved before the
+  // cut.
+  std::vector<RasRecord> records;
+  std::vector<std::string> texts;
+  for (int i = 0; i < 60; ++i) {
+    const int chip = i % 5 == 4 ? i - 1 : i;
+    records.push_back(make(100 + 20 * i, 1,
+                           bgl::Location::make_compute_chip(
+                               0, 0, static_cast<std::uint8_t>(chip / 32),
+                               static_cast<std::uint8_t>(chip % 32)),
+                           torus_));
+    texts.push_back("text " + std::to_string(i % 4));
+  }
+  Phase1Compressor original(300);
+  for (int i = 0; i < 30; ++i) {
+    original.push(records[i], texts[i]);
+  }
+  std::stringstream blob;
+  original.save(blob);
+  const std::string bytes = blob.str();
+  Phase1Compressor restored(300);
+  restored.push(make(1, 99, kChipC, torus_), "replaced by load");
+  restored.load(blob);
+  std::ostringstream again;
+  restored.save(again);
+  EXPECT_EQ(again.str(), bytes);
+  std::size_t per_verdict[3] = {};
+  for (int i = 30; i < 60; ++i) {
+    const Phase1Verdict want = original.push(records[i], texts[i]);
+    EXPECT_EQ(restored.push(records[i], texts[i]), want) << "record " << i;
+    ++per_verdict[static_cast<std::size_t>(want)];
+  }
+  EXPECT_GT(per_verdict[static_cast<std::size_t>(
+                Phase1Verdict::kTemporalDuplicate)],
+            0u);
+  EXPECT_GT(per_verdict[static_cast<std::size_t>(
+                Phase1Verdict::kSpatialDuplicate)],
+            0u);
+}
+
+TEST_F(Phase1CompressorTest, LoadRefusesCountsLargerThanTheStream) {
+  for (const std::uint64_t count : {std::uint64_t{0xffffffffu},
+                                    std::uint64_t{1} << 40}) {
+    std::stringstream temporal;
+    wire::write<std::uint64_t>(temporal, count);
+    Phase1Compressor phase1;
+    EXPECT_THROW(phase1.load(temporal), ParseError);
+
+    std::stringstream spatial;
+    wire::write<std::uint64_t>(spatial, 0);
+    wire::write<std::uint64_t>(spatial, count);
+    try {
+      phase1.load(spatial);
+      ADD_FAILURE() << "loaded " << count << " spatial keys";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("spatial key"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Phase1CompressorOptionsTest, RejectsNegativeThreshold) {
+  EXPECT_THROW(Phase1Compressor(-1), InvalidArgument);
 }
 
 // ---- pipeline ---------------------------------------------------------------

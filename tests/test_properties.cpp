@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/matcher.hpp"
+#include "phase1_oracle.hpp"
 #include "preprocess/pipeline.hpp"
 #include "simgen/generator.hpp"
 
@@ -82,14 +83,13 @@ TEST_P(CompressionPropertyTest, MonotoneAndIdempotent) {
   const Duration threshold = GetParam();
   GeneratedLog g = LogGenerator(SystemProfile::sdsc()).generate(0.02);
   PreprocessOptions opt;
-  opt.temporal_threshold = threshold;
-  opt.spatial_threshold = threshold;
+  opt.threshold = threshold;
   const std::size_t raw = g.log.size();
   const PreprocessStats first = preprocess(g.log, opt);
   EXPECT_LE(first.unique_events, raw);
   // Re-running the compressors is a no-op (fixpoint).
-  const CompressionResult t2 = compress_temporal(g.log, threshold);
-  const CompressionResult s2 = compress_spatial(g.log, threshold);
+  const CompressionResult t2 = oracle::compress_temporal(g.log, threshold);
+  const CompressionResult s2 = oracle::compress_spatial(g.log, threshold);
   EXPECT_EQ(t2.removed, 0u);
   EXPECT_EQ(s2.removed, 0u);
 }
@@ -99,11 +99,9 @@ TEST_P(CompressionPropertyTest, LargerThresholdNeverKeepsMore) {
   GeneratedLog a = LogGenerator(SystemProfile::sdsc()).generate(0.02);
   GeneratedLog b = LogGenerator(SystemProfile::sdsc()).generate(0.02);
   PreprocessOptions small;
-  small.temporal_threshold = threshold;
-  small.spatial_threshold = threshold;
+  small.threshold = threshold;
   PreprocessOptions big;
-  big.temporal_threshold = threshold * 2;
-  big.spatial_threshold = threshold * 2;
+  big.threshold = threshold * 2;
   const PreprocessStats at_small = preprocess(a.log, small);
   const PreprocessStats at_big = preprocess(b.log, big);
   EXPECT_GE(at_small.unique_events, at_big.unique_events);

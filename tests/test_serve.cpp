@@ -248,6 +248,47 @@ TEST(ShardManagerTest, RestoreDoesNotDoubleEngineCounters) {
   EXPECT_EQ(raw.value(), before);
 }
 
+/// A 64-byte shard-set checkpoint whose one stream claims `pending`
+/// pending warnings and carries none.
+std::string restore_blob_claiming(std::uint32_t shards,
+                                  std::uint32_t pending) {
+  std::ostringstream os;
+  wire::write_tag(os, "BGLSRV1\n");
+  wire::write<std::uint32_t>(os, shards);
+  wire::write<std::uint64_t>(os, 1);  // stream count
+  wire::write<std::uint64_t>(os, 0);  // stream id
+  wire::write<std::uint32_t>(os, pending);
+  wire::write_string(os, "");  // the pending warnings' bytes
+  std::string blob = os.str();
+  blob.resize(64, '\0');
+  return blob;
+}
+
+TEST(ShardManagerTest, RestoreRefusesPendingCountsLargerThanTheBlob) {
+  const ThreePhasePredictor tpp;
+  MetricsRegistry registry;
+  const ShardOptions options = small_shard_options(tpp);
+  ShardManager manager(options, registry);
+  RasRecord rec;
+  rec.time = 1000;
+  rec.facility = Facility::kKernel;
+  rec.severity = Severity::kFatal;
+  ASSERT_EQ(manager.submit(/*stream_id=*/4, rec, "kernel panic"),
+            ShardManager::Submit::kAccepted);
+  manager.drain();
+  std::istringstream is(restore_blob_claiming(
+      static_cast<std::uint32_t>(options.shard_count), 0xffffffffu));
+  try {
+    manager.restore(is);
+    ADD_FAILURE() << "restore accepted a corrupt blob";
+  } catch (const ParseError& e) {
+    // Refused while decoding the claimed warnings, not earlier.
+    EXPECT_NE(std::string(e.what()).find("warning"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(manager.stream_count(), 1u);  // live state untouched
+}
+
 TEST(ShardManagerTest, DumpJsonListsEveryRegisteredMetric) {
   // Inventory check paired with the drift-metric-unasserted rule in
   // tools/repo_analyze.py: every metric the serving plane registers must
@@ -328,6 +369,33 @@ TEST_P(ServerBackendTest, AbortiveClientDisconnectDoesNotKillServer) {
   // One misbehaving client must cost only its own connection: a second
   // client still gets a full admin roundtrip.
   Client client = Client::connect(server.port());
+  EXPECT_NE(client.stats_json().find("\"serve.frames_in\":"),
+            std::string::npos);
+  client.shutdown_server();
+  server.stop();
+}
+
+TEST_P(ServerBackendTest, OversizedRestoreCountGetsTypedErrorAndServerLives) {
+  // A RESTORE frame claiming 2^32-1 pending warnings in 64 bytes must
+  // cost a RESTORE_FAILED reply, not the server.
+  const ThreePhasePredictor tpp;
+  ServerOptions options;
+  options.backend = GetParam();
+  options.shards = small_shard_options(tpp);
+  Server server(options);
+  server.start();
+  Client client = Client::connect(server.port());
+  try {
+    client.restore(restore_blob_claiming(
+        static_cast<std::uint32_t>(options.shards.shard_count), 0xffffffffu));
+    ADD_FAILURE() << "RESTORE of a corrupt blob succeeded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(to_string(ErrorCode::kRestoreFailed)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("warning"), std::string::npos) << what;
+  }
   EXPECT_NE(client.stats_json().find("\"serve.frames_in\":"),
             std::string::npos);
   client.shutdown_server();

@@ -120,6 +120,7 @@ REQUIRED_HOT_FILES = (
     "src/simgen/stream.cpp",
     "src/logstore/cursor.cpp",
     "src/mining/rules.cpp",
+    "src/preprocess/phase1.cpp",
     "src/core/online.cpp",
     "src/serve/session.cpp",
     "src/serve/server.cpp",
