@@ -678,12 +678,15 @@ void run_latency_lane(std::uint16_t port, std::uint64_t stream_id,
             throw;
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          std::uint64_t mark = 0;
           try {
             client = std::make_unique<Client>(Client::connect(port, copts));
+            mark = client->stream_accepted(stream_id);
           } catch (const Error&) {
-            continue;  // shed under storm — back off and try again
+            // Shed at accept, or reset before the watermark came back:
+            // back off and try again.
+            continue;
           }
-          const std::uint64_t mark = client->stream_accepted(stream_id);
           const std::uint64_t landed = mark - report.submitted;
           slice.erase(slice.begin(),
                       slice.begin() +
@@ -852,6 +855,8 @@ int run_chaos() {
   personas.emplace_back([&] {
     ChaosOptions o = chaos;
     o.connections = 2;
+    // Bursts past the 96-frame budget trip it at any round-trip time.
+    o.requests_per_connection = 128;
     o.seed = 106;
     o.stream_id_base = std::uint64_t{2} << 32;
     persona_stats[5] = run_greedy_submitter(o);

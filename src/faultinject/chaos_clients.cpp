@@ -269,16 +269,19 @@ ChaosStats run_garbage_flooder(const ChaosOptions& options) {
 
 ChaosStats run_greedy_submitter(const ChaosOptions& options) {
   ChaosStats stats;
-  // Perfectly valid traffic at maximum rate with no backoff: the
-  // per-connection inbound budget is the only thing standing between
-  // this and the shards. Each batch is tiny so the frame count — what
-  // the budget meters — climbs as fast as possible.
-  std::vector<serve::WireRecord> batch;
-  for (std::uint64_t r = 0; r < 4; ++r) {
+  // Perfectly valid traffic at maximum rate: the per-connection inbound
+  // budget is the only thing standing between this and the shards. Each
+  // burst is requests_per_connection 4-record frames gather-written
+  // before any reply is read, so a burst larger than the budget's frames
+  // per window trips it however long a round trip takes.
+  constexpr std::size_t kFrameRecords = 4;
+  std::vector<serve::WireRecord> burst;
+  for (std::size_t r = 0; r < options.requests_per_connection * kFrameRecords;
+       ++r) {
     RasRecord rec;
     rec.time = static_cast<TimePoint>(r + 1);
     rec.severity = Severity::kInfo;
-    batch.push_back(serve::WireRecord{rec, "chaos greedy submitter entry"});
+    burst.push_back(serve::WireRecord{rec, "chaos greedy submitter entry"});
   }
   serve::ClientOptions copts;
   copts.connect_timeout_micros = kConnectTimeoutMicros;
@@ -292,10 +295,14 @@ ChaosStats run_greedy_submitter(const ChaosOptions& options) {
       ++stats.connections_opened;
       bool rejected = false;
       while (serve::monotonic_micros() < deadline) {
-        const serve::SubmitResult r =
-            client.submit_batch(options.stream_id_base + 1 + i, batch);
-        ++stats.frames_sent;
-        if (r.overloaded && !rejected) {
+        // Retransmits of a pushed-back remainder are not counted. The
+        // chaos server's shard queues hold far more than a burst, so a
+        // push-back is the budget's typed rejection.
+        const std::size_t pushed_back = client.submit_all_pipelined(
+            options.stream_id_base + 1 + i, burst, kFrameRecords,
+            options.requests_per_connection);
+        stats.frames_sent += options.requests_per_connection;
+        if (pushed_back != 0 && !rejected) {
           rejected = true;
           ++stats.typed_rejections;
         }

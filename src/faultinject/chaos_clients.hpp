@@ -18,9 +18,9 @@
 //     ceiling and verifies the typed kRejectedOverloaded refusal.
 //   - garbage flooder: writes random bytes; the session must answer
 //     with a typed error and desync-close, never crash.
-//   - greedy submitter: valid submit frames at maximum rate — the
-//     per-connection inbound budget must reject the excess with
-//     kRejectedOverloaded while healthy traffic keeps flowing.
+//   - greedy submitter: valid submit frames in pipelined bursts larger
+//     than the per-connection inbound budget, which must reject the
+//     excess with kRejectedOverloaded while healthy traffic keeps flowing.
 //
 // Personas attack streams at stream_id_base and above, disjoint from
 // the healthy load generator's streams, so correctness checks on the

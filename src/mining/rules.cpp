@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <mutex>
 
 #include "common/binary.hpp"
 #include "common/check.hpp"
@@ -402,7 +403,22 @@ void save_rules(std::ostream& os, const RuleSet& rules) {
   }
 }
 
-RuleSet load_rules(std::istream& is) {
+namespace {
+
+// The sets load_rules has returned, while something still holds them.
+struct LoadedSets {
+  std::mutex mutex;
+  std::vector<std::weak_ptr<const RuleSet>> sets;
+};
+
+LoadedSets& loaded_sets() {
+  static LoadedSets loaded;
+  return loaded;
+}
+
+}  // namespace
+
+std::shared_ptr<const RuleSet> load_rules(std::istream& is) {
   wire::expect_tag(is, "BGLRULE1");
   const auto count = wire::read<std::uint64_t>(is, "rule count");
   // A rule body/head is bounded by the item universe; anything larger
@@ -433,9 +449,26 @@ RuleSet load_rules(std::istream& is) {
     rule.hit_count = wire::read<std::uint64_t>(is, "rule hit count");
     rules.push_back(std::move(rule));
   }
-  // The constructor re-sorts (stable on an already-sorted list) and
-  // rebuilds the matching index.
-  return RuleSet(std::move(rules));
+  // A live set's rules() are in confidence order, the order save_rules
+  // wrote, so a load of the same model compares equal as parsed. Building
+  // under the lock makes concurrent loads of one model build its index
+  // once.
+  LoadedSets& loaded = loaded_sets();
+  const std::lock_guard lock(loaded.mutex);
+  std::erase_if(loaded.sets, [](const std::weak_ptr<const RuleSet>& set) {
+    return set.expired();
+  });
+  for (const std::weak_ptr<const RuleSet>& weak : loaded.sets) {
+    std::shared_ptr<const RuleSet> set = weak.lock();
+    if (set != nullptr && set->rules() == rules) {
+      return set;
+    }
+  }
+  // The constructor sorts (a saved list is in order already) and builds
+  // the matching index.
+  auto set = std::make_shared<const RuleSet>(std::move(rules));
+  loaded.sets.push_back(set);
+  return set;
 }
 
 }  // namespace bglpred

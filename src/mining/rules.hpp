@@ -12,6 +12,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,8 @@ struct Rule {
 
   /// Renders "a b ==> f1 f2: 0.71" using catalog names (Figure 3 style).
   std::string to_string() const;
+
+  bool operator==(const Rule&) const = default;
 };
 
 /// What the minimum-support fraction is relative to.
@@ -69,7 +72,8 @@ struct RuleOptions {
 /// each kept body as an ItemBitset plus an inverted item -> kept-rule
 /// bitset. best_match ORs the observed items' masks one 64-bit word at a
 /// time and returns at the first subset hit, allocating nothing, so one
-/// RuleSet can serve any number of readers. Bodies with items outside the
+/// RuleSet can serve any number of readers (load_rules shares it between
+/// every stream that loads the same model). Bodies with items outside the
 /// fixed bitset universe (synthetic tests only) and the empty body take an
 /// always-checked naive path so results stay identical.
 class RuleSet {
@@ -136,6 +140,13 @@ RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
 /// confidence order is preserved, so a loaded set matches (and
 /// best_match-es) byte-identically to the saved one.
 void save_rules(std::ostream& os, const RuleSet& rules);
-RuleSet load_rules(std::istream& is);
+
+/// Parses a save_rules section. Loads of equal rule lists share one set:
+/// the parsed list is compared field by field with every set a previous
+/// load returned that is still held, and a match is returned as is, so
+/// the matching index is built once however many streams load the model.
+/// Otherwise a new set is built and returned. Thread-safe. Throws
+/// ParseError on a malformed or truncated section.
+std::shared_ptr<const RuleSet> load_rules(std::istream& is);
 
 }  // namespace bglpred

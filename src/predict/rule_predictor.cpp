@@ -8,9 +8,19 @@
 
 namespace bglpred {
 
+namespace {
+
+// What every untrained predictor holds.
+const std::shared_ptr<const RuleSet>& no_rules() {
+  static const auto empty = std::make_shared<const RuleSet>();
+  return empty;
+}
+
+}  // namespace
+
 RulePredictor::RulePredictor(const PredictionConfig& config,
                              const RulePredictorOptions& options)
-    : config_(config), options_(options) {
+    : config_(config), options_(options), rules_(no_rules()) {
   BGL_REQUIRE(config.window > config.lead,
               "prediction window must exceed the lead time");
   BGL_REQUIRE(options.rule_generation_window > 0,
@@ -21,7 +31,8 @@ void RulePredictor::train(const LogView& training) {
   const TransactionDb db = extract_event_sets(
       training, options_.rule_generation_window, &training_stats_,
       options_.negative_ratio);
-  rules_ = mine_rules(db, options_.rules, options_.algorithm);
+  rules_ = std::make_shared<const RuleSet>(
+      mine_rules(db, options_.rules, options_.algorithm));
   reset();
 }
 
@@ -65,7 +76,7 @@ void RulePredictor::remove_item(Item item) {
 
 void RulePredictor::save_state(std::ostream& os) const {
   detail::write_checkpoint_header(os, "RULE", config_);
-  save_rules(os, rules_);
+  save_rules(os, *rules_);
   wire::write<std::uint64_t>(os, training_stats_.fatal_events);
   wire::write<std::uint64_t>(os, training_stats_.with_precursors);
   wire::write<std::uint64_t>(os, training_stats_.without_precursors);
@@ -79,7 +90,7 @@ void RulePredictor::save_state(std::ostream& os) const {
   // bytes regardless of hash-map iteration order.
   std::vector<std::pair<std::uint64_t, TimePoint>> debounce;
   debounce.reserve(rule_debounce_.size());
-  const Rule* base = rules_.rules().data();
+  const Rule* base = rules_->rules().data();
   for (const auto& [rule, time] : rule_debounce_) {
     debounce.emplace_back(static_cast<std::uint64_t>(rule - base), time);
   }
@@ -116,10 +127,10 @@ void RulePredictor::load_state(std::istream& is) {
   for (std::uint64_t i = 0; i < debounce_size; ++i) {
     const auto index = wire::read<std::uint64_t>(is, "debounce rule index");
     const auto time = wire::read<std::int64_t>(is, "debounce time");
-    if (index >= rules_.size()) {
+    if (index >= rules_->size()) {
       throw ParseError("debounce entry references a rule out of range");
     }
-    rule_debounce_.emplace(&rules_.rules()[index],
+    rule_debounce_.emplace(&rules_->rules()[index],
                            static_cast<TimePoint>(time));
   }
 }
@@ -141,7 +152,7 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
   if (overflow_counts_.empty()) {
     // Fast path: the live bitset is the window's distinct item set.
     if (!memo_valid_ || live_items_ != memo_items_) {
-      memo_rule_ = rules_.best_match(live_items_);
+      memo_rule_ = rules_->best_match(live_items_);
       memo_items_ = live_items_;
       memo_valid_ = true;
     }
@@ -157,7 +168,7 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
     std::sort(observed.begin(), observed.end());
     observed.erase(std::unique(observed.begin(), observed.end()),
                    observed.end());
-    rule = rules_.best_match(observed);
+    rule = rules_->best_match(observed);
   }
   if (rule == nullptr) {
     return std::nullopt;

@@ -12,6 +12,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -40,12 +41,6 @@ class RulePredictor final : public BasePredictor {
  public:
   RulePredictor(const PredictionConfig& config,
                 const RulePredictorOptions& options = {});
-  // The debounce keys and the memo point into rules_. A copy would alias
-  // the source's rules; a move keeps the vector's element addresses.
-  RulePredictor(const RulePredictor&) = delete;
-  RulePredictor& operator=(const RulePredictor&) = delete;
-  RulePredictor(RulePredictor&&) = default;
-  RulePredictor& operator=(RulePredictor&&) = default;
 
   std::string name() const override { return "rule"; }
   void train(const LogView& training) override;
@@ -56,8 +51,10 @@ class RulePredictor final : public BasePredictor {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// The mined (combined, sorted) rules. Valid after train().
-  const RuleSet& rules() const { return rules_; }
+  /// The mined (combined, sorted) rules: after train() this predictor's
+  /// own set, after load_state() the set every predictor that loaded the
+  /// same rules shares. Empty before either.
+  const RuleSet& rules() const { return *rules_; }
 
   /// Event-set statistics from the last train() call.
   const EventSetStats& training_stats() const { return training_stats_; }
@@ -65,7 +62,9 @@ class RulePredictor final : public BasePredictor {
  private:
   PredictionConfig config_;
   RulePredictorOptions options_;
-  RuleSet rules_;
+  // Immutable once held, and shared by load_rules: the debounce keys and
+  // the memo point into a set this predictor keeps alive.
+  std::shared_ptr<const RuleSet> rules_;
   EventSetStats training_stats_;
 
   // Streaming test state. The window's distinct-item set is maintained

@@ -27,11 +27,16 @@ PreprocessStats preprocess(RasLog& log, const PreprocessOptions& options) {
   PreprocessStats stats;
   PreprocessStats::Verdicts verdicts{};
   auto& records = log.mutable_records();
-  std::size_t out = 0;
+  // Classify everything first, then compress: two tight loops run faster
+  // than one that interleaves the classifier's and the operator's tables.
   for (RasRecord& rec : records) {
-    const std::string_view entry = log.pool().str(rec.entry_data);
-    classifier.classify_record(entry, rec, stats.classification);
-    const Phase1Verdict verdict = phase1.push(rec, entry);
+    classifier.classify_record(log.pool().str(rec.entry_data), rec,
+                               stats.classification);
+  }
+  std::size_t out = 0;
+  for (const RasRecord& rec : records) {
+    const Phase1Verdict verdict =
+        phase1.push(rec, log.pool().str(rec.entry_data));
     ++verdicts[static_cast<std::size_t>(verdict)];
     if (verdict == Phase1Verdict::kKept) {
       records[out++] = rec;

@@ -6,7 +6,9 @@
 // always processed by the same shard in arrival order. Each stream owns
 // a full OnlineEngine (its own Phase-1 state, reorder buffer, and predictor
 // state), which is what makes the served path byte-equivalent to running
-// one in-process engine per stream.
+// one in-process engine per stream. Only the immutable rule model is
+// shared: every stream whose predictor loads the same rules matches
+// against one RuleSet (see load_rules in mining/rules.hpp).
 //
 // Hand-off is batched and bounded: submit() only enqueues into the
 // target shard's FIFO (capacity `queue_capacity` records) and reports
@@ -49,7 +51,10 @@ struct ShardOptions {
   /// Options for every per-stream OnlineEngine.
   OnlineOptions engine;
   /// Builds the (already trained) predictor for a new stream's engine.
-  /// Called once per stream, and once per stream again on restore.
+  /// Called once per stream, and once per stream again on restore; with
+  /// worker threads, concurrently from the drain tasks. A factory that
+  /// load_state()s one saved model gives every stream the same shared
+  /// rule set, so per-stream memory is the stream's state, not the model.
   std::function<PredictorPtr()> predictor_factory;
 };
 

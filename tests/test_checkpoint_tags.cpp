@@ -146,9 +146,9 @@ TEST(CheckpointTagTest, RuleSetBlobLeadsWithBglRule1Tag) {
   std::stringstream blob;
   save_rules(blob, rules);
   EXPECT_EQ(blob.str().substr(0, 8), "BGLRULE1");
-  const RuleSet loaded = load_rules(blob);
-  ASSERT_EQ(loaded.size(), rules.size());
-  EXPECT_EQ(loaded.rules()[0].to_string(), rules.rules()[0].to_string());
+  const std::shared_ptr<const RuleSet> loaded = load_rules(blob);
+  ASSERT_EQ(loaded->size(), rules.size());
+  EXPECT_EQ(loaded->rules()[0].to_string(), rules.rules()[0].to_string());
 }
 
 TEST(CheckpointTagTest, OnlineEngineBlobLeadsWithBglCkpt2Tag) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/binary.hpp"
 #include "common/error.hpp"
@@ -327,6 +330,61 @@ TEST(RuleSetTest, SortedByConfidenceAndBestMatch) {
   ASSERT_NE(best, nullptr);
   EXPECT_DOUBLE_EQ(best->confidence, 0.4);
   EXPECT_EQ(set.best_match({7, 8}), nullptr);
+}
+
+/// A save_rules blob of three rules over the low item ids.
+std::string small_rule_blob() {
+  std::vector<Rule> rules(3);
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    rules[i].body = {static_cast<Item>(i + 1)};
+    rules[i].heads = {static_cast<SubcategoryId>(50 + i)};
+    rules[i].support = 0.1;
+    rules[i].confidence = 0.9 - 0.2 * static_cast<double>(i);
+    rules[i].body_count = 10;
+    rules[i].hit_count = 9 - 2 * i;
+  }
+  std::ostringstream os;
+  save_rules(os, RuleSet(std::move(rules)));
+  return os.str();
+}
+
+std::shared_ptr<const RuleSet> load_rules_from(const std::string& blob) {
+  std::istringstream is(blob);
+  return load_rules(is);
+}
+
+TEST(RuleSetTest, LoadsOfOneBlobShareOneSet) {
+  const std::string blob = small_rule_blob();
+  const std::shared_ptr<const RuleSet> a = load_rules_from(blob);
+  const std::shared_ptr<const RuleSet> b = load_rules_from(blob);
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(a->size(), 3u);
+  EXPECT_EQ(a->best_match(Itemset{2, 3}), &a->rules()[1]);
+}
+
+TEST(RuleSetTest, LoadOfARuleOneUlpApartBuildsItsOwnSet) {
+  const std::shared_ptr<const RuleSet> original =
+      load_rules_from(small_rule_blob());
+  std::vector<Rule> rules = original->rules();
+  rules[1].confidence = std::nextafter(rules[1].confidence, 1.0);
+  std::ostringstream os;
+  save_rules(os, RuleSet(rules));
+  const std::shared_ptr<const RuleSet> nudged = load_rules_from(os.str());
+  EXPECT_NE(nudged, original);
+  EXPECT_EQ(nudged->rules(), rules);
+  EXPECT_NE(nudged->rules(), original->rules());
+}
+
+TEST(RuleSetTest, SetsLiveOnlyAsLongAsTheirHolders) {
+  const std::string blob = small_rule_blob();
+  std::shared_ptr<const RuleSet> held = load_rules_from(blob);
+  const std::weak_ptr<const RuleSet> first = held;
+  held.reset();
+  EXPECT_TRUE(first.expired());  // loads do not keep a set alive
+  const std::shared_ptr<const RuleSet> reloaded = load_rules_from(blob);
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(reloaded->size(), 3u);
+  EXPECT_EQ(load_rules_from(blob), reloaded);
 }
 
 TEST(RuleSetTest, LoadRefusesRuleCountsLargerThanTheStream) {

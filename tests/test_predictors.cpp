@@ -293,6 +293,31 @@ TEST(CheckpointTest, StatisticalRoundTripPreservesModel) {
   EXPECT_EQ(a->window_end, b->window_end);
 }
 
+TEST(CheckpointTest, RuleLoadsOfOneModelShareItsRules) {
+  PredictionConfig config;
+  config.window = 30 * kMinute;
+  RulePredictor trained(config);
+  trained.train(cascade_training_log());
+  ASSERT_FALSE(trained.rules().empty());
+  std::ostringstream os;
+  trained.save_state(os);
+
+  RulePredictor a(config);
+  RulePredictor b(config);
+  for (RulePredictor* p : {&a, &b}) {
+    std::istringstream is(os.str());
+    p->load_state(is);
+  }
+  EXPECT_EQ(&a.rules(), &b.rules());
+  EXPECT_NE(&a.rules(), &trained.rules());  // train() shares nothing
+  EXPECT_EQ(a.rules().rules(), trained.rules().rules());
+  // Only the rules are shared: each keeps its own window and debounce,
+  // so one second's precursor warns in both.
+  const TimePoint t0 = 9000000;
+  EXPECT_TRUE(a.observe(event(t0, "nodeMapFileError")).has_value());
+  EXPECT_TRUE(b.observe(event(t0, "nodeMapFileError")).has_value());
+}
+
 TEST(CheckpointTest, RuleRoundTripPreservesMidStreamState) {
   PredictionConfig config;
   config.window = 30 * kMinute;

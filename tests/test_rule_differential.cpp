@@ -14,7 +14,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,12 +25,6 @@
 
 namespace bglpred {
 namespace {
-
-// Debounce keys and the memo point into the predictor's own rules, so a
-// copy would alias them; moves keep the vector's element addresses.
-static_assert(!std::is_copy_constructible_v<RulePredictor>);
-static_assert(!std::is_copy_assignable_v<RulePredictor>);
-static_assert(std::is_move_constructible_v<RulePredictor>);
 
 class Oracle {
  public:

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +20,9 @@
 
 #include "common/binary.hpp"
 #include "core/three_phase.hpp"
+#include "meta/meta_learner.hpp"
+#include "predict/rule_predictor.hpp"
+#include "predict/statistical_predictor.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -287,6 +292,109 @@ TEST(ShardManagerTest, RestoreRefusesPendingCountsLargerThanTheBlob) {
         << e.what();
   }
   EXPECT_EQ(manager.stream_count(), 1u);  // live state untouched
+}
+
+/// make_predictor(Method::kMeta) loaded with `model`, built base by base
+/// so the rule base can be recorded in `rule_bases`.
+PredictorPtr load_meta(const ThreePhasePredictor& tpp, const std::string& model,
+                       std::vector<const RulePredictor*>& rule_bases,
+                       std::mutex& mutex) {
+  const ThreePhaseOptions& o = tpp.options();
+  auto meta = std::make_unique<MetaLearner>(o.prediction, o.meta);
+  auto rule = std::make_unique<RulePredictor>(o.prediction, o.rule);
+  {
+    const std::lock_guard lock(mutex);
+    rule_bases.push_back(rule.get());
+  }
+  meta->add_base(std::move(rule), /*treat_as_rule_like=*/true);
+  PredictionConfig stat_config = o.prediction;
+  stat_config.lead = 5 * kMinute;
+  stat_config.window = kHour;
+  meta->add_base(
+      std::make_unique<StatisticalPredictor>(stat_config, o.statistical),
+      /*treat_as_rule_like=*/false);
+  std::istringstream is(model);
+  meta->load_state(is);
+  return meta;
+}
+
+// Eight streams on one trained DC-Prophet model, their predictors built
+// concurrently on four drain threads and again at a restore: every
+// stream's rule base matches against the one rule set, and the warnings
+// equal an inline drain's, stream by stream.
+TEST(ShardManagerTest, StreamsShareOneRuleModelAcrossWorkerThreads) {
+  const ThreePhasePredictor tpp;
+  RasLog history =
+      LogGenerator(SystemProfile::dc_prophet()).generate(0.01, 0).log;
+  tpp.run_phase1(history);
+  PredictorPtr trained = tpp.make_predictor(Method::kMeta);
+  trained->train(history);
+  std::ostringstream os;
+  trained->save_state(os);
+  const std::string model = os.str();
+
+  constexpr std::size_t kStreams = 8;
+  GeneratedLog g = LogGenerator(SystemProfile::dc_prophet()).generate(0.002, 1);
+  const auto streams = split_streams(g, kStreams, 8000);
+
+  const auto serve = [&](std::size_t worker_threads) {
+    std::mutex mutex;
+    std::vector<const RulePredictor*> rule_bases;
+    ShardOptions options;
+    options.shard_count = 4;
+    options.queue_capacity = 1u << 16;
+    options.worker_threads = worker_threads;
+    options.predictor_factory = [&] {
+      return load_meta(tpp, model, rule_bases, mutex);
+    };
+    MetricsRegistry registry;
+    ShardManager manager(options, registry);
+    std::vector<std::string> warnings(kStreams);
+    const auto submit = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t s = 0; s < kStreams; ++s) {
+          if (i < streams[s].size()) {
+            EXPECT_EQ(manager.submit(s, streams[s][i].record,
+                                     streams[s][i].entry),
+                      ShardManager::Submit::kAccepted);
+          }
+        }
+      }
+      manager.drain();
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        warnings[s] += encode_warnings(manager.poll(s));
+      }
+    };
+    const std::size_t half = streams[0].size() / 2;
+    submit(0, half);
+    EXPECT_EQ(rule_bases.size(), kStreams);
+    const RuleSet* model_rules = &rule_bases.front()->rules();
+    EXPECT_FALSE(model_rules->empty());
+    for (const RulePredictor* rule : rule_bases) {
+      EXPECT_EQ(&rule->rules(), model_rules);
+    }
+    // Restore builds every predictor again while the old ones still hold
+    // the set, so the new ones find it.
+    std::stringstream blob;
+    manager.save(blob);
+    rule_bases.clear();
+    manager.restore(blob);
+    EXPECT_EQ(rule_bases.size(), kStreams);
+    for (const RulePredictor* rule : rule_bases) {
+      EXPECT_EQ(&rule->rules(), model_rules);
+    }
+    std::stringstream again;
+    manager.save(again);
+    EXPECT_EQ(again.str(), blob.str());
+    submit(half, streams[0].size());
+    return warnings;
+  };
+  const std::vector<std::string> inline_warnings = serve(0);
+  const std::vector<std::string> threaded_warnings = serve(4);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    EXPECT_FALSE(inline_warnings[s].empty()) << "stream " << s;
+    EXPECT_EQ(threaded_warnings[s], inline_warnings[s]) << "stream " << s;
+  }
 }
 
 TEST(ShardManagerTest, DumpJsonListsEveryRegisteredMetric) {
