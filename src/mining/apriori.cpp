@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 
 namespace bglpred {
 namespace {
-
-// Hash for an itemset (FNV-ish over items). Collisions are resolved by the
-// map's key equality.
-struct ItemsetHash {
-  std::size_t operator()(const Itemset& items) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Item it : items) {
-      h ^= it;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-using CandidateCounts = std::unordered_map<Itemset, std::size_t, ItemsetHash>;
 
 // A (k+1)-candidate plus the indices of the two frequent k-itemsets whose
 // prefix join produced it (its transaction bitset is the AND of theirs).
@@ -80,45 +64,8 @@ std::vector<Candidate> generate_candidates(
   return candidates;
 }
 
-// Enumerates all k-subsets of `items` and bumps matching candidates.
-void count_subsets(const Itemset& items, std::size_t k,
-                   CandidateCounts& counts) {
-  if (items.size() < k) {
-    return;
-  }
-  // Iterative combination enumeration over indices.
-  std::vector<std::size_t> idx(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    idx[i] = i;
-  }
-  Itemset subset(k);
-  for (;;) {
-    for (std::size_t i = 0; i < k; ++i) {
-      subset[i] = items[idx[i]];
-    }
-    if (auto it = counts.find(subset); it != counts.end()) {
-      ++it->second;
-    }
-    // Advance to the next combination: bump the rightmost index that has
-    // room, then reset everything to its right.
-    std::ptrdiff_t pos = static_cast<std::ptrdiff_t>(k) - 1;
-    while (pos >= 0 &&
-           idx[static_cast<std::size_t>(pos)] ==
-               static_cast<std::size_t>(pos) + items.size() - k) {
-      --pos;
-    }
-    if (pos < 0) {
-      return;
-    }
-    ++idx[static_cast<std::size_t>(pos)];
-    for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < k; ++i) {
-      idx[i] = idx[i - 1] + 1;
-    }
-  }
-}
-
-// Frequent single items with their counts, in ascending item order (the
-// order both implementations emit level-1 results in).
+// Single items with their counts, in ascending item order (the order
+// level 1 is emitted in).
 std::map<Item, std::size_t> count_singles(const TransactionDb& db) {
   std::map<Item, std::size_t> singles;
   for (const Transaction& t : db.transactions()) {
@@ -131,13 +78,16 @@ std::map<Item, std::size_t> count_singles(const TransactionDb& db) {
 
 }  // namespace
 
-FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
-  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
+std::vector<FrequentItemset> apriori(const TransactionDb& db,
+                                     std::size_t min_count,
+                                     std::size_t max_itemset_size) {
+  // A zero floor would make every combination of items "frequent".
+  BGL_REQUIRE(min_count >= 1, "minimum support count must be >= 1");
+  BGL_REQUIRE(max_itemset_size >= 1, "max itemset size must be >= 1");
   std::vector<FrequentItemset> result;
   if (db.empty()) {
-    return FrequentSet(std::move(result));
+    return result;
   }
-  const std::size_t min_count = db.min_count_for(options.min_support);
   const VerticalIndex& index = db.vertical_index();
 
   // Pass 1: frequent single items, each carrying its transaction bitset.
@@ -157,7 +107,7 @@ FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
   // Level-wise passes: a candidate's bitset is the AND of its two join
   // parents' bitsets, and its support the popcount — no transaction scan.
   for (std::size_t k = 2;
-       k <= options.max_itemset_size && frequent_k.size() >= 2; ++k) {
+       k <= max_itemset_size && frequent_k.size() >= 2; ++k) {
     const std::vector<Candidate> candidates = generate_candidates(frequent_k);
     if (candidates.empty()) {
       break;
@@ -188,72 +138,7 @@ FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
     BGL_DCHECK(std::is_sorted(frequent_k.begin(), frequent_k.end()),
                "candidate generation lost lexicographic order");
   }
-  return FrequentSet(std::move(result));
-}
-
-FrequentSet apriori_reference(const TransactionDb& db,
-                              const MiningOptions& options) {
-  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
-  std::vector<FrequentItemset> result;
-  if (db.empty()) {
-    return FrequentSet(std::move(result));
-  }
-  const std::size_t min_count = db.min_count_for(options.min_support);
-
-  // Pass 1: frequent single items.
-  const std::map<Item, std::size_t> singles = count_singles(db);
-  std::vector<Itemset> frequent_k;
-  for (const auto& [item, count] : singles) {
-    if (count >= min_count) {
-      result.push_back({{item}, count});
-      frequent_k.push_back({item});
-    }
-  }
-
-  // Restrict each transaction to its frequent items once; sortedness of
-  // transactions is preserved by the filter.
-  std::vector<Itemset> filtered;
-  filtered.reserve(db.size());
-  for (const Transaction& t : db.transactions()) {
-    Itemset keep;
-    for (Item item : t) {
-      const auto it = singles.find(item);
-      if (it != singles.end() && it->second >= min_count) {
-        keep.push_back(item);
-      }
-    }
-    filtered.push_back(std::move(keep));
-  }
-
-  // Level-wise passes with horizontal counting: enumerate each
-  // transaction's k-subsets against the candidate hash set.
-  for (std::size_t k = 2;
-       k <= options.max_itemset_size && frequent_k.size() >= 2; ++k) {
-    const std::vector<Candidate> candidates = generate_candidates(frequent_k);
-    if (candidates.empty()) {
-      break;
-    }
-    CandidateCounts counts;
-    counts.reserve(candidates.size() * 2);
-    for (const Candidate& c : candidates) {
-      counts.emplace(c.items, 0);
-    }
-    for (const Itemset& t : filtered) {
-      count_subsets(t, k, counts);
-    }
-    frequent_k.clear();
-    for (const Candidate& c : candidates) {
-      const std::size_t count = counts.at(c.items);
-      BGL_CHECK(count <= db.size(),
-                "candidate counted more often than there are transactions");
-      if (count >= min_count) {
-        result.push_back({c.items, count});
-        frequent_k.push_back(c.items);
-      }
-    }
-    std::sort(frequent_k.begin(), frequent_k.end());
-  }
-  return FrequentSet(std::move(result));
+  return result;
 }
 
 }  // namespace bglpred

@@ -8,23 +8,28 @@
 // candidate's bitset is the word-wise AND of its two join parents'
 // bitsets, so counting is a popcount instead of a subset enumeration over
 // every transaction (Eclat-style counting on Apriori's level-wise
-// lattice). apriori_reference() keeps the original horizontal counting as
-// the differential-test oracle; both produce bit-identical FrequentSets.
+// lattice). The textbook horizontal counting lives on as the test-only
+// oracle in tests/mining_oracle.hpp.
 #pragma once
 
-#include "mining/frequent.hpp"
+#include <cstddef>
+#include <vector>
+
+#include "mining/transaction.hpp"
 
 namespace bglpred {
 
-/// Mines all frequent itemsets of `db` under `options` using vertical
-/// (transaction-bitset) candidate counting.
-FrequentSet apriori(const TransactionDb& db, const MiningOptions& options);
+/// One frequent itemset with its absolute support count.
+struct FrequentItemset {
+  Itemset items;
+  std::size_t count = 0;
+};
 
-/// Reference implementation with horizontal counting (k-subset
-/// enumeration per transaction). Same output as apriori(); kept as the
-/// oracle for differential tests and as the readable statement of the
-/// textbook algorithm.
-FrequentSet apriori_reference(const TransactionDb& db,
-                              const MiningOptions& options);
+/// Mines every itemset of at most `max_itemset_size` items that occurs in
+/// at least `min_count` transactions of `db`. Itemsets come out level by
+/// level, each level in lexicographic order.
+std::vector<FrequentItemset> apriori(const TransactionDb& db,
+                                     std::size_t min_count,
+                                     std::size_t max_itemset_size);
 
 }  // namespace bglpred

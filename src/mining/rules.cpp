@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "mining/apriori.hpp"
-#include "mining/fpgrowth.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -214,50 +213,6 @@ const Rule* RuleSet::best_match_naive(const Itemset& observed) const {
   return nullptr;
 }
 
-std::vector<Rule> generate_rules(const FrequentSet& frequent,
-                                 std::size_t transaction_count,
-                                 double min_confidence) {
-  BGL_REQUIRE(transaction_count > 0 || frequent.size() == 0,
-              "transaction count required for support computation");
-  std::vector<Rule> rules;
-  for (const FrequentItemset& f : frequent.itemsets()) {
-    // Split into body and labels.
-    Itemset body;
-    std::vector<SubcategoryId> labels;
-    for (Item item : f.items) {
-      if (is_label(item)) {
-        labels.push_back(subcat_of(item));
-      } else {
-        body.push_back(item);
-      }
-    }
-    if (labels.size() != 1 || body.empty()) {
-      continue;  // rule form is body -> single label at this stage
-    }
-    const std::size_t body_count = frequent.count_of(body);
-    // Support monotonicity: a superset can never be more frequent than its
-    // body. A violation here would emit confidence > 1 and silently skew
-    // every downstream precision number, so it stays on in release.
-    BGL_CHECK(body_count >= f.count,
-              "itemset support exceeds its body's support");
-    const double confidence =
-        static_cast<double>(f.count) / static_cast<double>(body_count);
-    if (confidence + 1e-12 < min_confidence) {
-      continue;
-    }
-    Rule rule;
-    rule.body = body;
-    rule.heads = labels;
-    rule.hit_count = f.count;
-    rule.body_count = body_count;
-    rule.support = static_cast<double>(f.count) /
-                   static_cast<double>(transaction_count);
-    rule.confidence = confidence;
-    rules.push_back(std::move(rule));
-  }
-  return rules;
-}
-
 std::vector<Rule> combine_rules(std::vector<Rule> rules) {
   std::map<Itemset, Rule> by_body;
   for (Rule& rule : rules) {
@@ -271,9 +226,10 @@ std::vector<Rule> combine_rules(std::vector<Rule> rules) {
     merged.heads.insert(merged.heads.end(), rule.heads.begin(),
                         rule.heads.end());
     merged.hit_count += rule.hit_count;
-    merged.support += rule.support;
     // Exact because each event-set carries exactly one label: the head
-    // events are disjoint across transactions with this body.
+    // events are disjoint across transactions with this body. The clamps
+    // only absorb rounding in the sums, which load_rules would refuse.
+    merged.support = std::min(1.0, merged.support + rule.support);
     merged.confidence =
         std::min(1.0, merged.confidence + rule.confidence);
   }
@@ -288,21 +244,11 @@ std::vector<Rule> combine_rules(std::vector<Rule> rules) {
   return out;
 }
 
-namespace {
-
-FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
-                      MiningAlgorithm algorithm) {
-  return algorithm == MiningAlgorithm::kApriori ? apriori(db, options)
-                                                : fpgrowth(db, options);
-}
-
-// Per-label mining: for each fatal label, mine frequent bodies among the
-// transactions carrying that label (support relative to the label's
-// count), then compute each rule's confidence against the *full*
-// database so competing contexts still discount weak bodies.
-std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
-                                       const RuleOptions& options,
-                                       MiningAlgorithm algorithm) {
+RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options) {
+  // One slot of the itemset budget is the label's, and a rule needs a
+  // body item besides.
+  BGL_REQUIRE(options.mining.max_itemset_size >= 2,
+              "max itemset size must be >= 2: a rule is a body plus a label");
   // Group transactions by their (single) label item.
   std::map<Item, std::vector<Transaction>> by_label;
   for (const Transaction& t : db.transactions()) {
@@ -323,21 +269,21 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
   }
 
   std::vector<Rule> rules;
-  for (const auto& [label, bodies] : by_label) {
+  for (auto& [label, bodies] : by_label) {
     if (bodies.size() < options.min_label_count) {
       continue;
     }
-    TransactionDb class_db{std::vector<Transaction>(bodies)};
-    MiningOptions mining = options.mining;
-    // Reserve one slot of the itemset budget for the label. mine_rules
-    // rejects max_itemset_size == 0, so the subtract cannot wrap.
-    mining.max_itemset_size =
-        std::max<std::size_t>(1, mining.max_itemset_size - 1);
-    const FrequentSet frequent = run_miner(class_db, mining, algorithm);
-    for (const FrequentItemset& f : frequent.itemsets()) {
-      if (f.items.empty() || f.count < options.min_rule_hits) {
-        continue;
-      }
+    const TransactionDb class_db{std::move(bodies)};
+    // Support counts are anti-monotone, so an itemset under the hit floor
+    // has no superset above it: mining at the higher of the two floors
+    // skips exactly the itemsets that could never become rules.
+    const std::size_t min_count =
+        std::max(class_db.min_count_for(options.mining.min_support),
+                 options.min_rule_hits);
+    for (FrequentItemset& f : apriori(class_db, min_count,
+                                      options.mining.max_itemset_size - 1)) {
+      // Confidence against the *full* database, so competing contexts
+      // still discount weak bodies.
       const std::size_t body_count = db.absolute_support(f.items);
       BGL_CHECK(body_count >= f.count,
                 "class-conditional support exceeds global body support");
@@ -347,7 +293,7 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
         continue;
       }
       Rule rule;
-      rule.body = f.items;
+      rule.body = std::move(f.items);
       rule.heads = {subcat_of(label)};
       rule.hit_count = f.count;
       rule.body_count = body_count;
@@ -356,28 +302,6 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
       rule.confidence = confidence;
       rules.push_back(std::move(rule));
     }
-  }
-  return rules;
-}
-
-}  // namespace
-
-RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
-                   MiningAlgorithm algorithm) {
-  // Guard the per-label "reserve one slot for the label" subtract below
-  // against a std::size_t wrap (0 - 1 would turn the itemset budget into
-  // SIZE_MAX and make low-support sweeps explode).
-  BGL_REQUIRE(options.mining.max_itemset_size >= 1,
-              "max itemset size must be >= 1");
-  if (db.empty()) {
-    return RuleSet{};
-  }
-  std::vector<Rule> rules;
-  if (options.support_base == SupportBase::kPerLabel) {
-    rules = mine_rules_per_label(db, options, algorithm);
-  } else {
-    const FrequentSet frequent = run_miner(db, options.mining, algorithm);
-    rules = generate_rules(frequent, db.size(), options.min_confidence);
   }
   return RuleSet(combine_rules(std::move(rules)));
 }
@@ -445,6 +369,12 @@ std::shared_ptr<const RuleSet> load_rules(std::istream& is) {
     }
     rule.support = wire::read_double(is, "rule support");
     rule.confidence = wire::read_double(is, "rule confidence");
+    // Matching checks every confidence it serves, and the sort needs a
+    // strict weak order: a NaN or out-of-range value is a corrupt model.
+    if (!(rule.support >= 0.0 && rule.support <= 1.0) ||
+        !(rule.confidence >= 0.0 && rule.confidence <= 1.0)) {
+      throw ParseError("rule support or confidence outside [0, 1]");
+    }
     rule.body_count = wire::read<std::uint64_t>(is, "rule body count");
     rule.hit_count = wire::read<std::uint64_t>(is, "rule hit count");
     rules.push_back(std::move(rule));

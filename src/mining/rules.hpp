@@ -1,5 +1,4 @@
-// Association-rule generation over mined frequent itemsets
-// (§3.2.2 Steps 2-4).
+// Association-rule mining over event-sets (§3.2.2 Steps 2-4).
 //
 // Rules have the class-association form
 //
@@ -17,7 +16,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
-#include "mining/frequent.hpp"
+#include "mining/transaction.hpp"
 
 namespace bglpred {
 
@@ -36,31 +35,30 @@ struct Rule {
   bool operator==(const Rule&) const = default;
 };
 
-/// What the minimum-support fraction is relative to.
-enum class SupportBase {
-  /// Classic association rules: fraction of *all* event-sets. Rules for
-  /// rare failure classes can never clear the bar (a class with fewer
-  /// occurrences than min_support * |D| is unminable).
-  kAllTransactions,
-  /// Class-based association rules: fraction of the event-sets built
-  /// around the rule's *own* fatal label. This is the only reading under
-  /// which the paper's Figure-3 rules are possible — e.g. its
+/// Mining bounds (paper: support 0.04).
+struct MiningOptions {
+  /// Minimum support, relative to the event-sets of the rule's own fatal
+  /// label (class-based association rules). This is the only reading
+  /// under which the paper's Figure-3 rules are possible — e.g. its
   /// linkcardFailure rules exist although linkcardFailure accounts for
-  /// under 4% of all fatal events — so it is the default.
-  kPerLabel,
+  /// under 4% of all fatal events (DESIGN §5).
+  double min_support = 0.04;
+  /// Maximum itemset cardinality (body + label), at least 2. Bounds the
+  /// exponential blow-up the paper describes for low thresholds.
+  std::size_t max_itemset_size = 5;
 };
 
 /// Rule-generation thresholds (paper: support 0.04, confidence 0.2).
 struct RuleOptions {
   MiningOptions mining;
   double min_confidence = 0.2;
-  SupportBase support_base = SupportBase::kPerLabel;
-  /// Labels with fewer training occurrences than this are not mined under
-  /// kPerLabel (too few samples for a meaningful 4% bar).
+  /// Labels with fewer training occurrences than this are not mined (too
+  /// few samples for a meaningful 4% bar).
   std::size_t min_label_count = 10;
-  /// Absolute floor on a rule's hit count under kPerLabel: a body must
-  /// co-occur with its label at least this often, whatever the relative
-  /// support works out to (guards rare classes against one-shot rules).
+  /// Absolute floor on a rule's hit count: a body must co-occur with its
+  /// label at least this often, whatever the relative support works out
+  /// to (guards rare classes against one-shot rules). The miner applies
+  /// it while counting, not after.
   std::size_t min_rule_hits = 5;
 };
 
@@ -117,22 +115,18 @@ class RuleSet {
   DynamicBitset always_check_;  ///< slots needing the naive subset test
 };
 
-/// Generates single-head rules body->label from a frequent set: for every
-/// frequent itemset containing exactly one label item and a non-empty
-/// body, with confidence >= min_confidence. (Step 2.)
-std::vector<Rule> generate_rules(const FrequentSet& frequent,
-                                 std::size_t transaction_count,
-                                 double min_confidence);
-
 /// Merges rules with identical bodies into multi-head rules, summing
-/// confidences and hit counts (Step 3).
+/// supports, confidences and hit counts (Step 3).
 std::vector<Rule> combine_rules(std::vector<Rule> rules);
 
-/// Convenience: mine (with the given algorithm), generate, combine, sort.
-enum class MiningAlgorithm { kApriori, kFpGrowth };
-
-RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
-                   MiningAlgorithm algorithm = MiningAlgorithm::kApriori);
+/// Steps 2-4 on an event-set database: for each fatal label with at least
+/// min_label_count event-sets, Apriori mines that label's bodies at the
+/// absolute floor max(ceil(min_support * n_label), min_rule_hits); each
+/// body's confidence is its hit count over its support in all of `db`,
+/// and bodies under min_confidence are dropped. Equal bodies are then
+/// merged and the rules sorted. Throws InvalidArgument if
+/// max_itemset_size < 2: no rule fits in one item.
+RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options);
 
 /// Binary serialization of a mined rule set ("BGLRULE1" section;
 /// common/binary.hpp wire format). Only the rule list travels — the
@@ -146,7 +140,8 @@ void save_rules(std::ostream& os, const RuleSet& rules);
 /// load returned that is still held, and a match is returned as is, so
 /// the matching index is built once however many streams load the model.
 /// Otherwise a new set is built and returned. Thread-safe. Throws
-/// ParseError on a malformed or truncated section.
+/// ParseError on a malformed or truncated section, and on a rule whose
+/// support or confidence is not a finite value in [0, 1].
 std::shared_ptr<const RuleSet> load_rules(std::istream& is);
 
 }  // namespace bglpred

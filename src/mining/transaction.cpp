@@ -99,17 +99,6 @@ std::size_t TransactionDb::absolute_support(const Itemset& items) const {
   return vertical_index().support(items);
 }
 
-std::size_t TransactionDb::absolute_support_naive(
-    const Itemset& items) const {
-  std::size_t count = 0;
-  for (const Transaction& t : transactions_) {
-    if (is_subset(items, t)) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 std::size_t TransactionDb::min_count_for(double relative_support) const {
   BGL_REQUIRE(relative_support >= 0.0 && relative_support <= 1.0,
               "relative support must be in [0, 1]");

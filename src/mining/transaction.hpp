@@ -64,10 +64,6 @@ class TransactionDb {
   /// Uses the vertical index: a few word-wise ANDs + popcount.
   std::size_t absolute_support(const Itemset& items) const;
 
-  /// Reference implementation: per-transaction is_subset scan. Kept as
-  /// the differential-test oracle for the vertical index.
-  std::size_t absolute_support_naive(const Itemset& items) const;
-
   /// The item -> transaction-bitset index, built lazily on first use
   /// (thread-safe) and invalidated by add().
   const VerticalIndex& vertical_index() const;

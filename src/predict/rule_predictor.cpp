@@ -31,8 +31,7 @@ void RulePredictor::train(const LogView& training) {
   const TransactionDb db = extract_event_sets(
       training, options_.rule_generation_window, &training_stats_,
       options_.negative_ratio);
-  rules_ = std::make_shared<const RuleSet>(
-      mine_rules(db, options_.rules, options_.algorithm));
+  rules_ = std::make_shared<const RuleSet>(mine_rules(db, options_.rules));
   reset();
 }
 

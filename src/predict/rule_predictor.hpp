@@ -1,13 +1,13 @@
 // Rule-based base predictor (§3.2.2).
 //
 // Training extracts event-sets with the *rule generation window*, mines
-// association rules (Apriori by default; FP-Growth gives identical
-// output), merges equal-body rules, and sorts by confidence. At test
-// time a sliding window of the last `prediction window` seconds of
-// non-fatal events is matched against rule bodies; the
-// highest-confidence matching rule emits a warning. A rule is debounced
-// while its previous warning interval is still open, so a persisting
-// body does not spray duplicate warnings.
+// each fatal label's rules with Apriori (mine_rules: the hit floor is
+// applied while mining), merges equal-body rules, and sorts by
+// confidence. At test time a sliding window of the last `prediction
+// window` seconds of non-fatal events is matched against rule bodies;
+// the highest-confidence matching rule emits a warning. A rule is
+// debounced while its previous warning interval is still open, so a
+// persisting body does not spray duplicate warnings.
 #pragma once
 
 #include <deque>
@@ -29,7 +29,6 @@ struct RulePredictorOptions {
   /// 25 min for SDSC, selected by sweep — see bench/ablation_rulegen_window).
   Duration rule_generation_window = 15 * kMinute;
   RuleOptions rules;  ///< support/confidence thresholds
-  MiningAlgorithm algorithm = MiningAlgorithm::kApriori;
   /// Negative windows per fatal event added to the training transactions
   /// (see extract_event_sets): calibrates rule confidences to
   /// P(failure | body), pruning coincidental chatter bodies.

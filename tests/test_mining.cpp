@@ -1,6 +1,6 @@
-// Tests for the association-rule mining substrate: itemsets, Apriori,
-// FP-Growth (cross-checked against each other and a brute-force oracle),
-// rule generation/combination, and event-set extraction.
+// Tests for the association-rule mining substrate: itemsets, Apriori
+// (cross-checked against the horizontal reference and a brute-force
+// oracle), rule mining/combination, and event-set extraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,8 @@
 #include "common/rng.hpp"
 #include "mining/apriori.hpp"
 #include "mining/event_sets.hpp"
-#include "mining/fpgrowth.hpp"
 #include "mining/rules.hpp"
+#include "mining_oracle.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -80,7 +80,8 @@ TEST(TransactionDbTest, MinCountCeilsAndFloorsAtOne) {
 // Brute-force oracle: enumerate all itemsets appearing in the db and
 // count support by scanning.
 std::vector<FrequentItemset> brute_force(const TransactionDb& db,
-                                         const MiningOptions& options) {
+                                         std::size_t min_count,
+                                         std::size_t max_itemset_size) {
   std::map<Itemset, std::size_t> counts;
   for (const Transaction& t : db.transactions()) {
     // Enumerate all non-empty subsets up to max size (transactions in
@@ -93,12 +94,11 @@ std::vector<FrequentItemset> brute_force(const TransactionDb& db,
           subset.push_back(t[b]);
         }
       }
-      if (subset.size() <= options.max_itemset_size) {
+      if (subset.size() <= max_itemset_size) {
         ++counts[subset];
       }
     }
   }
-  const std::size_t min_count = db.min_count_for(options.min_support);
   std::vector<FrequentItemset> out;
   for (const auto& [items, count] : counts) {
     if (count >= min_count) {
@@ -106,6 +106,24 @@ std::vector<FrequentItemset> brute_force(const TransactionDb& db,
     }
   }
   return out;
+}
+
+/// The support count apriori() reports for `items`; 0 if not frequent.
+std::size_t count_of(const std::vector<FrequentItemset>& frequent,
+                     const Itemset& items) {
+  const auto it = std::find_if(
+      frequent.begin(), frequent.end(),
+      [&](const FrequentItemset& f) { return f.items == items; });
+  return it == frequent.end() ? 0 : it->count;
+}
+
+std::vector<FrequentItemset> sorted_by_itemset(
+    std::vector<FrequentItemset> itemsets) {
+  std::sort(itemsets.begin(), itemsets.end(),
+            [](const FrequentItemset& a, const FrequentItemset& b) {
+              return a.items < b.items;
+            });
+  return itemsets;
 }
 
 TransactionDb random_db(std::uint64_t seed, std::size_t transactions,
@@ -134,21 +152,19 @@ TEST(AprioriTest, TextbookExample) {
   db.add({1, 3});
   db.add({1, 2, 3, 5});
   db.add({1, 2, 3});
-  MiningOptions opt;
-  opt.min_support = 2.0 / 9.0;
-  const FrequentSet result = apriori(db, opt);
-  EXPECT_EQ(result.count_of({1}), 6u);
-  EXPECT_EQ(result.count_of({2}), 7u);
-  EXPECT_EQ(result.count_of({1, 2}), 4u);
-  EXPECT_EQ(result.count_of({1, 2, 3}), 2u);
-  EXPECT_EQ(result.count_of({1, 2, 5}), 2u);
-  EXPECT_EQ(result.count_of({4}), 2u);
-  EXPECT_EQ(result.count_of({1, 4}), 0u);  // infrequent (support 1)
+  const auto result = apriori(db, /*min_count=*/2, /*max_itemset_size=*/5);
+  EXPECT_EQ(count_of(result, {1}), 6u);
+  EXPECT_EQ(count_of(result, {2}), 7u);
+  EXPECT_EQ(count_of(result, {1, 2}), 4u);
+  EXPECT_EQ(count_of(result, {1, 2, 3}), 2u);
+  EXPECT_EQ(count_of(result, {1, 2, 5}), 2u);
+  EXPECT_EQ(count_of(result, {4}), 2u);
+  EXPECT_EQ(count_of(result, {1, 4}), 0u);  // infrequent (support 1)
+  EXPECT_THROW(apriori(db, 0, 5), InvalidArgument);
 }
 
 TEST(AprioriTest, EmptyDb) {
-  const FrequentSet result = apriori(TransactionDb{}, MiningOptions{});
-  EXPECT_EQ(result.size(), 0u);
+  EXPECT_TRUE(apriori(TransactionDb{}, 1, 5).empty());
 }
 
 TEST(AprioriTest, MaxItemsetSizeBounds) {
@@ -156,19 +172,18 @@ TEST(AprioriTest, MaxItemsetSizeBounds) {
   for (int i = 0; i < 10; ++i) {
     db.add({1, 2, 3, 4});
   }
-  MiningOptions opt;
-  opt.min_support = 0.5;
-  opt.max_itemset_size = 2;
-  const FrequentSet result = apriori(db, opt);
-  for (const FrequentItemset& f : result.itemsets()) {
+  const auto result = apriori(db, /*min_count=*/5, /*max_itemset_size=*/2);
+  for (const FrequentItemset& f : result) {
     EXPECT_LE(f.items.size(), 2u);
   }
-  EXPECT_EQ(result.count_of({1, 2}), 10u);
-  EXPECT_EQ(result.count_of({1, 2, 3}), 0u);
+  EXPECT_EQ(count_of(result, {1, 2}), 10u);
+  EXPECT_EQ(count_of(result, {1, 2, 3}), 0u);
 }
 
-// Property sweep: Apriori == FP-Growth == brute force on random DBs,
-// across support thresholds and universe shapes.
+// Property sweep: Apriori == the horizontal reference == brute force on
+// random DBs, across support thresholds and universe shapes. The test's
+// name predates FP-Growth's removal and is kept so its eight instance
+// IDs stay stable.
 struct MinerParam {
   std::uint64_t seed;
   std::size_t transactions;
@@ -183,21 +198,21 @@ TEST_P(MinerEquivalenceTest, AprioriEqualsFpGrowthEqualsBruteForce) {
   const MinerParam p = GetParam();
   const TransactionDb db =
       random_db(p.seed, p.transactions, p.universe, p.max_len);
-  MiningOptions opt;
-  opt.min_support = p.min_support;
-  opt.max_itemset_size = 4;
+  const std::size_t min_count = db.min_count_for(p.min_support);
+  constexpr std::size_t kMaxItemsetSize = 4;
 
-  const auto a = sorted_by_itemset(apriori(db, opt).itemsets());
-  const auto f = sorted_by_itemset(fpgrowth(db, opt).itemsets());
-  const auto oracle = sorted_by_itemset(brute_force(db, opt));
+  const auto a = sorted_by_itemset(apriori(db, min_count, kMaxItemsetSize));
+  const auto r = sorted_by_itemset(
+      oracle::apriori_reference(db, min_count, kMaxItemsetSize));
+  const auto brute = brute_force(db, min_count, kMaxItemsetSize);
 
-  ASSERT_EQ(a.size(), oracle.size());
-  ASSERT_EQ(f.size(), oracle.size());
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_EQ(a[i].items, oracle[i].items);
-    EXPECT_EQ(a[i].count, oracle[i].count);
-    EXPECT_EQ(f[i].items, oracle[i].items);
-    EXPECT_EQ(f[i].count, oracle[i].count);
+  ASSERT_EQ(a.size(), brute.size());
+  ASSERT_EQ(r.size(), brute.size());
+  for (std::size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ(a[i].items, brute[i].items);
+    EXPECT_EQ(a[i].count, brute[i].count);
+    EXPECT_EQ(r[i].items, brute[i].items);
+    EXPECT_EQ(r[i].count, brute[i].count);
   }
 }
 
@@ -225,13 +240,13 @@ TEST(RuleTest, GeneratesBodyToLabelRules) {
   }
   db.add({a, b});
   db.add({a, b});
-  MiningOptions opt;
-  opt.min_support = 0.1;
-  const FrequentSet frequent = apriori(db, opt);
-  const auto rules = generate_rules(frequent, db.size(), 0.2);
+  RuleOptions opt;
+  opt.min_label_count = 8;
+  const RuleSet rules = mine_rules(db, opt);
+  EXPECT_EQ(rules.size(), 3u);  // {a}, {b} and {a, b}, each -> 50
   // Find the {a,b} -> 50 rule.
   bool found = false;
-  for (const Rule& r : rules) {
+  for (const Rule& r : rules.rules()) {
     if (r.body == Itemset{a, b}) {
       found = true;
       EXPECT_DOUBLE_EQ(r.confidence, 0.8);
@@ -254,11 +269,17 @@ TEST(RuleTest, MinConfidenceFilters) {
   for (int i = 0; i < 9; ++i) {
     db.add({a});
   }
-  MiningOptions opt;
-  opt.min_support = 0.05;
-  const FrequentSet frequent = apriori(db, opt);
-  EXPECT_TRUE(generate_rules(frequent, db.size(), 0.2).empty());  // 0.1<0.2
-  EXPECT_EQ(generate_rules(frequent, db.size(), 0.05).size(), 1u);
+  RuleOptions opt;
+  opt.min_label_count = 1;
+  opt.min_rule_hits = 1;
+  opt.min_confidence = 0.2;
+  EXPECT_TRUE(mine_rules(db, opt).empty());  // 0.1 < 0.2
+  opt.min_confidence = 0.05;
+  const RuleSet rules = mine_rules(db, opt);
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_DOUBLE_EQ(rules.rules()[0].confidence, 0.1);
+  EXPECT_EQ(rules.rules()[0].body_count, 10u);
+  EXPECT_EQ(rules.rules()[0].hit_count, 1u);
 }
 
 TEST(RuleTest, CombineMergesEqualBodies) {
@@ -306,6 +327,27 @@ TEST(RuleTest, CombinedConfidenceClampedToOne) {
   const auto combined = combine_rules({r1, r2});
   ASSERT_EQ(combined.size(), 1u);
   EXPECT_DOUBLE_EQ(combined[0].confidence, 1.0);
+}
+
+TEST(RuleTest, CombinedSupportStaysAtMostOne) {
+  // A body in all 28 event-sets, under three labels: 9/28 + 18/28 + 1/28
+  // sums to one ulp above 1 in doubles, which load_rules would refuse.
+  Rule rule;
+  rule.body = {1};
+  rule.body_count = 28;
+  std::vector<Rule> rules;
+  for (const std::size_t hits : {9, 18, 1}) {
+    rule.heads = {static_cast<SubcategoryId>(50 + rules.size())};
+    rule.hit_count = hits;
+    rule.support = static_cast<double>(hits) / 28.0;
+    rule.confidence = rule.support;
+    rules.push_back(rule);
+  }
+  const auto combined = combine_rules(rules);
+  ASSERT_EQ(combined.size(), 1u);
+  EXPECT_EQ(combined[0].support, 1.0);
+  EXPECT_EQ(combined[0].confidence, 1.0);
+  EXPECT_EQ(combined[0].hit_count, 28u);
 }
 
 TEST(RuleSetTest, SortedByConfidenceAndBestMatch) {
@@ -405,6 +447,51 @@ TEST(RuleSetTest, LoadRefusesRuleCountsLargerThanTheStream) {
   }
 }
 
+/// A save_rules blob of one rule {1} -> 50 with the given fields.
+std::string one_rule_blob(double support, double confidence) {
+  std::ostringstream os;
+  wire::write_tag(os, "BGLRULE1");
+  wire::write<std::uint64_t>(os, 1);   // rule count
+  wire::write<std::uint32_t>(os, 1);   // body size
+  wire::write<std::uint32_t>(os, 1);   // body item
+  wire::write<std::uint32_t>(os, 1);   // head count
+  wire::write<std::uint16_t>(os, 50);  // head
+  wire::write_double(os, support);
+  wire::write_double(os, confidence);
+  wire::write<std::uint64_t>(os, 10);  // body count
+  wire::write<std::uint64_t>(os, 5);   // hit count
+  return os.str();
+}
+
+TEST(RuleSetTest, LoadRefusesSupportsAndConfidencesOutsideZeroToOne) {
+  // Matching checks that every confidence it serves is in [0, 1], and
+  // the rule sort needs a strict weak order, so a model carrying a value
+  // outside [0, 1] must fail its load instead.
+  for (const double edge : {0.0, 0.5, 1.0}) {
+    const std::string blob = one_rule_blob(edge, edge);
+    const std::shared_ptr<const RuleSet> loaded = load_rules_from(blob);
+    ASSERT_EQ(loaded->size(), 1u);
+    std::ostringstream again;
+    save_rules(again, *loaded);
+    EXPECT_EQ(again.str(), blob);  // the hand-made blob is save_rules'
+  }
+  for (const double bad : {2.0, -1.0, std::nan(""), HUGE_VAL, -0.5}) {
+    for (const bool bad_confidence : {true, false}) {
+      const std::string blob = bad_confidence ? one_rule_blob(0.5, bad)
+                                              : one_rule_blob(bad, 0.5);
+      try {
+        load_rules_from(blob);
+        ADD_FAILURE() << "loaded a rule with " << bad << " in its "
+                      << (bad_confidence ? "confidence" : "support");
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("confidence"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(RuleTest, ToStringUsesCatalogNames) {
   Rule r;
   r.body = {body_item(catalog().find("nodeMapFileError"))};
@@ -414,45 +501,25 @@ TEST(RuleTest, ToStringUsesCatalogNames) {
             "nodeMapFileError ==> nodemapCreateFailure: 1.000000");
 }
 
-TEST(MineRulesTest, ApioriAndFpGrowthProduceIdenticalRuleSets) {
-  Rng rng(77);
-  TransactionDb db;
-  for (int i = 0; i < 300; ++i) {
-    Transaction t;
-    for (int k = 0; k < 4; ++k) {
-      t.push_back(body_item(static_cast<SubcategoryId>(
-          rng.uniform_int(0, 9))));
-    }
-    t.push_back(label_item(static_cast<SubcategoryId>(
-        rng.uniform_int(90, 92))));
-    db.add(std::move(t));
-  }
-  RuleOptions opt;
-  opt.mining.min_support = 0.04;
-  opt.min_confidence = 0.2;
-  const RuleSet a = mine_rules(db, opt, MiningAlgorithm::kApriori);
-  const RuleSet f = mine_rules(db, opt, MiningAlgorithm::kFpGrowth);
-  ASSERT_EQ(a.size(), f.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.rules()[i].body, f.rules()[i].body);
-    EXPECT_EQ(a.rules()[i].heads, f.rules()[i].heads);
-    EXPECT_DOUBLE_EQ(a.rules()[i].confidence, f.rules()[i].confidence);
-  }
-}
-
 TEST(MineRulesTest, ZeroMaxItemsetSizeIsRejected) {
   // Regression: max_itemset_size == 0 used to wrap the per-label
   // "leave room for the label" subtraction around std::size_t and mine
-  // with an effectively unbounded cardinality. It is a contract error.
+  // with an effectively unbounded cardinality, and 1 mined two-item
+  // rules. No rule fits in fewer than two items: a contract error.
   TransactionDb db;
-  db.add({body_item(1), label_item(2)});
-  RuleOptions opt;
-  opt.mining.max_itemset_size = 0;
-  for (const SupportBase base :
-       {SupportBase::kPerLabel, SupportBase::kAllTransactions}) {
-    opt.support_base = base;
-    EXPECT_THROW(mine_rules(db, opt), InvalidArgument);
+  for (int i = 0; i < 10; ++i) {
+    db.add({body_item(1), label_item(2)});
   }
+  RuleOptions opt;
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1}}) {
+    opt.mining.max_itemset_size = size;
+    EXPECT_THROW(mine_rules(db, opt), InvalidArgument) << size;
+    EXPECT_THROW(mine_rules(TransactionDb{}, opt), InvalidArgument) << size;
+  }
+  opt.mining.max_itemset_size = 2;
+  const RuleSet rules = mine_rules(db, opt);
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules.rules()[0].body, Itemset{body_item(1)});
 }
 
 // ---- event-set extraction ------------------------------------------------------

@@ -9,11 +9,18 @@
 // with a *typed* kError frame (never silence, never garbage), duplicate
 // frames are not re-applied, and the service keeps serving valid
 // requests afterwards (same session for recoverable damage, a fresh
-// session — a new connection — after a framing desync).
+// session — a new connection — after a framing desync). A live server,
+// on both readiness backends, must also answer a RESTORE of a checkpoint
+// whose rules carry out-of-range confidences with RESTORE_FAILED and keep
+// serving its streams unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,8 +28,10 @@
 #include "common/rng.hpp"
 #include "core/three_phase.hpp"
 #include "faultinject/faults.hpp"
+#include "serve/client.hpp"
 #include "serve/outbox.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/shard_manager.hpp"
 #include "simgen/generator.hpp"
@@ -263,6 +272,131 @@ TEST(ServeFaultsTest, RandomByteSoupNeverEscapesTheSession) {
     }
     expect_still_serving(h, 1);
   }
+}
+
+// ---- Corrupt rule models through RESTORE ---------------------------------
+
+/// save_state of a meta-learner trained on a DC-Prophet history.
+const std::string& dcp_model() {
+  static const std::string model = [] {
+    const ThreePhasePredictor tpp;
+    RasLog history =
+        LogGenerator(SystemProfile::dc_prophet()).generate(0.01, 0).log;
+    tpp.run_phase1(history);
+    PredictorPtr meta = tpp.make_predictor(Method::kMeta);
+    meta->train(history);
+    std::ostringstream os;
+    meta->save_state(os);
+    return os.str();
+  }();
+  return model;
+}
+
+/// `blob` with the confidence of every rule in every BGLRULE1 section
+/// (mining/rules.hpp save_rules) set to `confidence`; counts the rules in
+/// `patched`.
+std::string with_rule_confidences(std::string blob, double confidence,
+                                  std::size_t& patched) {
+  const auto u32_at = [&blob](std::size_t at) -> std::size_t {
+    if (at + 4 > blob.size()) {
+      throw std::out_of_range("rule section runs past the checkpoint");
+    }
+    return wire::decode<std::uint32_t>(blob.data() + at);
+  };
+  std::string bits;
+  wire::append<std::uint64_t>(bits, std::bit_cast<std::uint64_t>(confidence));
+  const std::string_view tag = "BGLRULE1";
+  for (std::size_t at = blob.find(tag); at != std::string::npos;
+       at = blob.find(tag, at)) {
+    at += tag.size();
+    const std::size_t rules = u32_at(at);  // low half of the u64 count
+    at += 8;
+    for (std::size_t r = 0; r < rules; ++r) {
+      at += 4 + 4 * u32_at(at);   // body items
+      at += 4 + 2 * u32_at(at);   // heads
+      blob.replace(at + 8, 8, bits);  // after the support
+      at += 32;  // support, confidence, body count, hit count
+      ++patched;
+    }
+  }
+  return blob;
+}
+
+class RestoreFaultTest : public ::testing::TestWithParam<PollerBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RestoreFaultTest,
+    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
+    [](const ::testing::TestParamInfo<PollerBackend>& info) {
+      return std::string(to_string(info.param));
+    });
+
+TEST_P(RestoreFaultTest, OutOfRangeRuleConfidenceGetsTypedErrorAndServerLives) {
+  // A RESTORE whose rules carry a confidence of 2.0, NaN or -1 must cost a
+  // RESTORE_FAILED reply and leave the live streams as they were. Loaded
+  // as is, such a rule fails the matcher's confidence check on the next
+  // drain, outside any handler, and that ends the server.
+  const ThreePhasePredictor tpp;
+  ServerOptions options;
+  options.backend = GetParam();
+  options.shards.shard_count = 2;
+  options.shards.predictor_factory = [&tpp] {
+    PredictorPtr meta = tpp.make_predictor(Method::kMeta);
+    std::istringstream is(dcp_model());
+    meta->load_state(is);
+    return meta;
+  };
+  Server server(options);
+  server.start();
+  Client client = Client::connect(server.port());
+
+  constexpr std::uint64_t kStream = 3;
+  GeneratedLog g =
+      LogGenerator(SystemProfile::dc_prophet()).generate(0.002, 1);
+  std::vector<WireRecord> records;
+  for (std::size_t i = 0; i < 128 && i < g.log.size(); ++i) {
+    records.push_back(
+        WireRecord{g.log.records()[i], g.log.text_of(g.log.records()[i])});
+  }
+  ASSERT_EQ(records.size(), 128u);
+  const std::vector<WireRecord> first(records.begin(), records.begin() + 64);
+  const std::vector<WireRecord> second(records.begin() + 64, records.end());
+
+  client.submit_all(kStream, first);
+  const std::string checkpoint = client.checkpoint();
+  for (const double bad : {2.0, std::nan(""), -1.0}) {
+    std::size_t patched = 0;
+    const std::string blob = with_rule_confidences(checkpoint, bad, patched);
+    ASSERT_GT(patched, 0u);
+    try {
+      client.restore(blob);
+      ADD_FAILURE() << "RESTORE of rules with confidence " << bad
+                    << " succeeded";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(to_string(ErrorCode::kRestoreFailed)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("confidence"), std::string::npos) << what;
+    }
+  }
+
+  // Still serving, from the untouched live state: one engine fed both
+  // halves in-process emits the same warnings.
+  client.submit_all(kStream, second);
+  const std::string served = encode_warnings(client.poll_warnings(kStream));
+  OnlineEngine engine(options.shards.predictor_factory(),
+                      options.shards.engine);
+  std::vector<Warning> expected;
+  for (const WireRecord& wr : records) {
+    for (Warning& w : engine.feed(wr.record, wr.entry)) {
+      expected.push_back(std::move(w));
+    }
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(served, encode_warnings(expected));
+  client.shutdown_server();
+  server.stop();
 }
 
 // ---- Outbox edge cases (the flush path's data structure) -----------------
