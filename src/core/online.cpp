@@ -35,10 +35,11 @@ OnlineEngine::OnlineEngine(PredictorPtr predictor,
 }
 
 // bgl:hot-begin(online-submit)
-// The per-record submit path every served stream funnels through:
-// validate -> classify -> Phase 1 -> predictor observe, with the reorder
-// heap in between. The only allocations are container growth (heap,
-// Phase-1 maps, warning vector) — amortized, not per record.
+// The per-record path every served stream funnels through: validate ->
+// classify (once per distinct text of the run) -> Phase 1 -> predictor
+// observe, with the reorder heap in between. The only allocations are
+// container growth (heap, Phase-1 maps, the caller's warning vector) —
+// amortized, not per record.
 bool OnlineEngine::validate(const RasRecord& record) const {
   // Enum fields straight off the wire index fixed tables downstream
   // (the classifier's by-facility phrase index, the catalog); reject
@@ -65,12 +66,12 @@ bool OnlineEngine::validate(const RasRecord& record) const {
 void OnlineEngine::deliver(const RasRecord& rec, Phase1Verdict verdict,
                            std::vector<Warning>& out) {
   if (verdict != Phase1Verdict::kKept) {
-    bump(stats_.deduplicated, counters_.deduplicated);
+    ++stats_.deduplicated;
     return;
   }
-  bump(stats_.forwarded, counters_.forwarded);
+  ++stats_.forwarded;
   if (auto warning = predictor_->observe(rec)) {
-    bump(stats_.warnings, counters_.warnings);
+    ++stats_.warnings;
     out.push_back(std::move(*warning));
   }
 }
@@ -84,70 +85,107 @@ void OnlineEngine::release_until(TimePoint limit, std::vector<Warning>& out) {
   }
 }
 
-std::vector<Warning> OnlineEngine::feed(const RasRecord& record,
-                                        std::string_view entry_data) {
-  std::vector<Warning> out;
-  bump(stats_.raw_records, counters_.raw_records);
+void OnlineEngine::admit(const RecordRun& run, std::size_t i,
+                         std::vector<Warning>& out) {
+  ++stats_.raw_records;
+  const RasRecord& record = run.records[i];
   if (!validate(record)) {
-    bump(stats_.degraded, counters_.degraded);
-    return out;
+    ++stats_.degraded;
+    return;
   }
+  const std::uint32_t text_id = run.text_ids[i];
+  const RunText& text = run.texts[text_id];
   RasRecord rec = record;
-  rec.subcategory =
-      classifier_.classify(entry_data, rec.facility, rec.severity);
+  rec.subcategory = classes_.classify(classifier_, text_id, text.text,
+                                      rec.facility, rec.severity);
   if (rec.subcategory != kUnclassified &&
       rec.subcategory >= catalog().size()) {
     // The classifier fell through every table — a record the taxonomy
     // cannot place. Count it and keep the stream alive.
-    bump(stats_.degraded, counters_.degraded);
-    return out;
+    ++stats_.degraded;
+    return;
   }
 
   if (rec.time < high_water_) {
-    bump(stats_.reordered, counters_.reordered);
+    ++stats_.reordered;
     // A record later than the horizon can repair is clamped, so Phase 1
     // and the predictors (whose windows assume monotone time) never see
     // time reverse. With horizon 0 that is every late record.
     if (high_water_ >= kMinTime + options_.reorder_horizon &&
         rec.time < high_water_ - options_.reorder_horizon) {
       rec.time = high_water_;
-      bump(stats_.clamped, counters_.clamped);
+      ++stats_.clamped;
     }
   } else {
     high_water_ = rec.time;
   }
 
   if (options_.reorder_horizon == 0) {
-    deliver(rec, phase1_.push(rec, entry_data), out);
-    return out;
+    deliver(rec, phase1_.push_hashed(rec, text.hash), out);
+    return;
   }
-  buffer_.push_back(
-      Buffered{rec, Phase1Compressor::entry_hash(entry_data), seq_++});
+  buffer_.push_back(Buffered{rec, text.hash, seq_++});
   std::push_heap(buffer_.begin(), buffer_.end(), BufferedLater{});
   // Release everything the horizon proves settled: no record older than
   // high_water - horizon can still arrive unclamped.
   if (high_water_ >= kMinTime + options_.reorder_horizon) {
     release_until(high_water_ - options_.reorder_horizon, out);
   }
+}
+
+void OnlineEngine::feed(const RecordRun& run, std::vector<Warning>& out) {
+  const OnlineStats before = stats_;
+  classes_.reset(run.texts.size());
+  for (std::size_t i = 0; i < run.records.size(); ++i) {
+    admit(run, i, out);
+  }
+  publish(before);
+}
+
+void OnlineEngine::publish(const OnlineStats& before) {
+  for (const CounterSlot& slot : kCounterSlots) {
+    Counter* counter = counters_.*slot.bound;
+    if (counter != nullptr && stats_.*slot.stat != before.*slot.stat) {
+      counter->inc(stats_.*slot.stat - before.*slot.stat);
+    }
+  }
+}
+// bgl:hot-end
+
+std::vector<Warning> OnlineEngine::feed(const RasRecord& record,
+                                        std::string_view entry_data) {
+  const RunText text{entry_data, Phase1Compressor::entry_hash(entry_data)};
+  const std::uint32_t text_id = 0;
+  std::vector<Warning> out;
+  feed(RecordRun{{&record, 1}, {&text_id, 1}, {&text, 1}}, out);
   return out;
 }
 
 std::vector<Warning> OnlineEngine::flush() {
+  const OnlineStats before = stats_;
   std::vector<Warning> out;
   release_until(INT64_MAX, out);
+  publish(before);
   return out;
 }
-// bgl:hot-end
 
 std::vector<Warning> OnlineEngine::feed_source(RecordBatchSource& source) {
   std::vector<Warning> out;
   RasLog batch;
+  std::vector<RunText> texts;
+  std::vector<std::uint32_t> text_ids;
   while (source.next_batch(batch)) {
-    for (const RasRecord& rec : batch.records()) {
-      std::vector<Warning> got = feed(rec, batch.text_of(rec));
-      out.insert(out.end(), std::make_move_iterator(got.begin()),
-                 std::make_move_iterator(got.end()));
+    const StringPool& pool = batch.pool();
+    texts.clear();
+    for (StringId id = 0; id < pool.size(); ++id) {
+      const std::string_view text = pool.str(id);
+      texts.push_back(RunText{text, Phase1Compressor::entry_hash(text)});
     }
+    text_ids.clear();
+    for (const RasRecord& rec : batch.records()) {
+      text_ids.push_back(rec.entry_data);
+    }
+    feed(RecordRun{batch.records(), text_ids, texts}, out);
   }
   std::vector<Warning> tail = flush();
   out.insert(out.end(), std::make_move_iterator(tail.begin()),

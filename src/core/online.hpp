@@ -9,6 +9,14 @@
 // preprocess(raw) and emits the warnings the offline evaluation scores.
 // examples/online_prediction.cpp drives it against a live replay.
 //
+// Records arrive in runs (raslog/record_run.hpp): a served SUBMIT frame
+// is one run, a RasLog batch another, one record the run of one — all
+// through the one feed(run, out). A run carries each distinct entry text
+// once with its hash, so the engine classifies each distinct (text,
+// facility, severity) of a run once, hands Phase 1 and the reorder
+// buffer the run's hash, appends warnings to the caller's vector, and
+// publishes its registry counters once per run.
+//
 // Robustness (DESIGN.md §7): real RAS streams are neither clean nor
 // ordered, so the engine
 //   * validates every raw record's enum fields before classification and
@@ -30,6 +38,7 @@
 #include "common/metrics.hpp"
 #include "predict/predictor.hpp"
 #include "preprocess/phase1.hpp"
+#include "raslog/record_run.hpp"
 #include "raslog/source.hpp"
 #include "taxonomy/classifier.hpp"
 
@@ -65,9 +74,15 @@ class OnlineEngine {
   explicit OnlineEngine(PredictorPtr predictor,
                         const OnlineOptions& options = {});
 
-  /// Feeds one raw record (entry text is the raw ENTRY_DATA). Under a
-  /// reorder horizon, one feed can release zero or several buffered
-  /// records, so it returns every warning emitted by the predictor.
+  /// Feeds a run of raw records in order and appends every warning the
+  /// predictor emits to `out`. Under a reorder horizon a record can
+  /// release zero or several buffered ones, so warnings need not line up
+  /// with the run's records. Splitting a stream into runs at any points
+  /// changes nothing: warnings, stats() and save() bytes are those of
+  /// the stream fed record by record.
+  void feed(const RecordRun& run, std::vector<Warning>& out);
+
+  /// The run of one: `record` with its raw ENTRY_DATA text.
   std::vector<Warning> feed(const RasRecord& record,
                             std::string_view entry_data);
 
@@ -75,9 +90,10 @@ class OnlineEngine {
   /// the released records produce. A no-op when the horizon is 0.
   std::vector<Warning> flush();
 
-  /// Feeds an entire batch source (e.g. the streaming generator) through
-  /// feed(), one batch resident at a time, then flush()es — so a log of
-  /// any length runs in O(batch) memory. Returns every warning emitted.
+  /// Feeds an entire batch source (e.g. the streaming generator), each
+  /// batch as one run whose texts are the batch's pool, one batch
+  /// resident at a time, then flush()es — so a log of any length runs in
+  /// O(batch) memory. Returns every warning emitted.
   std::vector<Warning> feed_source(RecordBatchSource& source);
 
   /// Serializes the complete engine state — options, stats, reorder
@@ -126,8 +142,9 @@ class OnlineEngine {
     bool operator()(const Buffered& a, const Buffered& b) const;
   };
 
-  /// Mirrors of the stats counters inside an attached MetricsRegistry;
-  /// all null until attach_metrics is called.
+  /// Mirrors of the stats counters inside an attached MetricsRegistry,
+  /// brought level at the end of every run (publish); all null until
+  /// attach_metrics is called.
   struct BoundCounters {
     Counter* raw_records = nullptr;
     Counter* deduplicated = nullptr;
@@ -149,29 +166,27 @@ class OnlineEngine {
   };
   static const CounterSlot kCounterSlots[7];
 
-  /// Bumps a stats member and its bound registry counter together —
-  /// the single mutation point for every OnlineStats field.
-  static void bump(std::size_t& stat, Counter* counter) {
-    ++stat;
-    if (counter != nullptr) {
-      counter->inc();
-    }
-  }
-
   /// Validates the raw enum fields; malformed records are counted as
   /// degraded and dropped.
   bool validate(const RasRecord& record) const;
+  /// Validates, classifies and orders record `i` of `run`.
+  void admit(const RecordRun& run, std::size_t i, std::vector<Warning>& out);
   /// Counts Phase 1's verdict on one canonically-ordered record and
   /// forwards the record to the predictor if it was kept.
   void deliver(const RasRecord& rec, Phase1Verdict verdict,
                std::vector<Warning>& out);
   /// Releases every buffered record at or below the release time.
   void release_until(TimePoint limit, std::vector<Warning>& out);
+  /// Adds what stats_ gained since `before` to the bound registry
+  /// counters: the counters move once per run, not once per record.
+  void publish(const OnlineStats& before);
 
   PredictorPtr predictor_;
   OnlineOptions options_;
   BoundCounters counters_;
   EventClassifier classifier_;
+  /// The current run's classes, by run text id (reset per run).
+  ClassificationMemo classes_;
   Phase1Compressor phase1_;
   OnlineStats stats_;
   // Min-heap (via std::push_heap with the inverted comparator) of parked

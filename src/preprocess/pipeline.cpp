@@ -26,13 +26,11 @@ PreprocessStats preprocess(RasLog& log, const PreprocessOptions& options) {
   Phase1Compressor phase1(options.threshold);
   PreprocessStats stats;
   PreprocessStats::Verdicts verdicts{};
-  auto& records = log.mutable_records();
   // Classify everything first, then compress: two tight loops run faster
   // than one that interleaves the classifier's and the operator's tables.
-  for (RasRecord& rec : records) {
-    classifier.classify_record(log.pool().str(rec.entry_data), rec,
-                               stats.classification);
-  }
+  // classify_all classifies each distinct (text, facility, severity) once.
+  stats.classification = classifier.classify_all(log);
+  auto& records = log.mutable_records();
   std::size_t out = 0;
   for (const RasRecord& rec : records) {
     const Phase1Verdict verdict =

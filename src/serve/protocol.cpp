@@ -38,10 +38,15 @@ const char* to_string(ErrorCode code) {
 }
 
 std::string encode_frame(const Frame& frame) {
-  BGL_REQUIRE(frame.payload.size() <= kMaxPayload,
-              "frame payload exceeds kMaxPayload");
   std::string out;
   out.reserve(kFrameHeaderSize + frame.payload.size());
+  append_frame(out, frame);
+  return out;
+}
+
+void append_frame(std::string& out, const Frame& frame) {
+  BGL_REQUIRE(frame.payload.size() <= kMaxPayload,
+              "frame payload exceeds kMaxPayload");
   out += kFrameMagic;
   wire::append<std::uint8_t>(out, kProtocolVersion);
   wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(frame.type));
@@ -52,7 +57,6 @@ std::string encode_frame(const Frame& frame) {
                               static_cast<std::uint32_t>(frame.payload.size()));
   wire::append<std::uint32_t>(out, crc32(frame.payload));
   out += frame.payload;
-  return out;
 }
 
 void FrameReader::feed(std::string_view bytes) {
@@ -181,11 +185,6 @@ void encode_record(std::string& out, const RasRecord& rec,
   wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
   wire::append<std::uint16_t>(out, rec.subcategory);
   append_string(out, entry);
-}
-
-WireRecord decode_record(BytesReader& in) {
-  const WireRecordView view = decode_record_view(in);
-  return WireRecord{view.record, std::string(view.entry)};
 }
 
 WireRecordView decode_record_view(BytesReader& in) {

@@ -123,7 +123,9 @@ struct FrameError {
   std::uint32_t seq = 0;        ///< best-effort echo from the header
 };
 
-/// Serializes a frame (header + CRC + payload).
+/// Appends one serialized frame (header + CRC + payload) to `out`.
+void append_frame(std::string& out, const Frame& frame);
+/// The same bytes as a new string.
 std::string encode_frame(const Frame& frame);
 
 /// Incremental frame decoder over a byte stream. Feed bytes as they
@@ -197,16 +199,17 @@ class BytesReader {
   std::size_t pos_ = 0;
 };
 
-/// A record plus the raw ENTRY_DATA text the server classifies from.
+/// A record plus the raw ENTRY_DATA text the server classifies from,
+/// owned: what clients submit.
 struct WireRecord {
   RasRecord record;
   std::string entry;
 };
 
-/// Zero-copy form of WireRecord: `entry` aliases the decoded payload
-/// (see BytesReader::read_string_view), so the frame must outlive the
-/// view. The session layer batch-decodes with this, deferring the one
-/// owned copy per record to the point of shard submission.
+/// A decoded record: `entry` aliases the payload (see
+/// BytesReader::read_string_view), so the frame must outlive the view.
+/// The session decodes a SUBMIT into a run of these, and the shard queue
+/// copies each distinct text of the run once.
 struct WireRecordView {
   RasRecord record;
   std::string_view entry;
@@ -214,7 +217,6 @@ struct WireRecordView {
 
 void encode_record(std::string& out, const RasRecord& rec,
                    std::string_view entry);
-WireRecord decode_record(BytesReader& in);
 WireRecordView decode_record_view(BytesReader& in);
 
 void encode_warning(std::string& out, const Warning& warning);

@@ -12,8 +12,32 @@ namespace bglpred::serve {
 Session::Session(ShardManager& shards, SessionLimits limits)
     : shards_(&shards), metrics_(&shards.metrics()), limits_(limits) {}
 
-void Session::respond(Frame frame, std::string& out) {
-  out += encode_frame(frame);
+namespace {
+
+/// Out of line, so the SUBMIT region below spells no throw; handle_frame's
+/// try/catch answers it with kBadPayload.
+[[noreturn]] void malformed_submit(const char* what) {
+  throw ParseError(what);
+}
+
+/// A reply whose payload is one u64 count (a submit's accepted records,
+/// a stream's lifetime accepted total).
+Frame count_reply(MessageType type, const Frame& request,
+                  std::uint64_t count) {
+  Frame reply;
+  reply.type = type;
+  reply.stream_id = request.stream_id;
+  reply.seq = request.seq;
+  for (int b = 0; b < 8; ++b) {
+    reply.payload.push_back(static_cast<char>((count >> (8 * b)) & 0xff));
+  }
+  return reply;
+}
+
+}  // namespace
+
+void Session::respond(const Frame& frame, std::string& out) {
+  append_frame(out, frame);
   metrics_->frames_out.inc();
 }
 
@@ -34,9 +58,8 @@ void Session::respond_error(ErrorCode code, std::string message,
 Session::Status Session::on_bytes(std::string_view data, std::string& out) {
   reader_.feed(data);
   for (;;) {
-    Frame frame;
     FrameError error;
-    switch (reader_.next(frame, error)) {
+    switch (reader_.next(frame_, error)) {
       case FrameReader::Status::kNeedMore:
         return Status::kKeepOpen;
       case FrameReader::Status::kBadFrame:
@@ -50,7 +73,7 @@ Session::Status Session::on_bytes(std::string_view data, std::string& out) {
       case FrameReader::Status::kFrame: {
         metrics_->frames_in.inc();
         ++frames_seen_;  // idle supervision keys activity on this delta
-        const Status status = handle_frame(frame, out);
+        const Status status = handle_frame(frame_, out);
         if (status != Status::kKeepOpen) {
           return status;
         }
@@ -117,7 +140,7 @@ Session::Status Session::handle_frame(const Frame& frame, std::string& out) {
         ok.type = MessageType::kOk;
         ok.stream_id = frame.stream_id;
         ok.seq = frame.seq;
-        respond(std::move(ok), out);
+        respond(ok, out);
         seq_watermark_ = frame.seq;
         return Status::kShutdown;
       }
@@ -159,6 +182,11 @@ bool Session::submit_budget_exceeded(const Frame& frame) {
           window_bytes_ > limits_.max_submit_payload_bytes_per_window);
 }
 
+// bgl:hot-begin(session-submit)
+// Once per SUBMIT frame: decode every record into the reused run
+// builder, enqueue the frame as one run, append the reply to `out`. No
+// allocation once warm (bgl_rule_alloc_tests). Malformed payloads leave
+// through the decoders' ParseError to handle_frame's try/catch.
 Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
   const std::uint64_t started = monotonic_micros();
   // Pipeline-window order guard: once a submit hits backpressure, any
@@ -169,12 +197,7 @@ Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
   if ((frame.flags & kFlagPipelineFollow) == 0) {
     busy_latched_ = false;
   } else if (busy_latched_) {
-    Frame reply;
-    reply.type = MessageType::kRejectedBusy;
-    reply.stream_id = frame.stream_id;
-    reply.seq = frame.seq;
-    reply.payload.assign(8, '\0');  // accepted = 0
-    respond(std::move(reply), out);
+    respond(count_reply(MessageType::kRejectedBusy, frame, 0), out);
     return Status::kKeepOpen;
   }
   // Inbound budget, checked before any decoding: a greedy submitter is
@@ -186,12 +209,7 @@ Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
   if (submit_budget_exceeded(frame)) {
     metrics_->budget_rejected.inc();
     busy_latched_ = true;
-    Frame reply;
-    reply.type = MessageType::kRejectedOverloaded;
-    reply.stream_id = frame.stream_id;
-    reply.seq = frame.seq;
-    reply.payload.assign(8, '\0');  // accepted = 0
-    respond(std::move(reply), out);
+    respond(count_reply(MessageType::kRejectedOverloaded, frame, 0), out);
     return Status::kKeepOpen;
   }
   BytesReader in(frame.payload);
@@ -199,32 +217,23 @@ Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
   if (frame.type == MessageType::kSubmitBatch) {
     count = in.read<std::uint32_t>("batch record count");
     if (count > frame.payload.size()) {
-      throw ParseError("batch record count implausibly large");
+      malformed_submit("batch record count implausibly large");
     }
   }
-  // Decode the whole batch before feeding any of it: a malformed record
-  // anywhere in the frame fails the frame as a unit (typed error,
-  // nothing applied) instead of half-applying it. Views alias
-  // frame.payload, which outlives this function — the one owned copy
-  // per record happens at shard submission.
-  std::vector<WireRecordView> records;
-  records.reserve(count);
+  // Decode the whole frame before enqueueing any of it: a malformed
+  // record anywhere fails the frame as a unit (typed error, nothing
+  // applied) instead of half-applying it. The run's texts alias
+  // frame.payload until the shard queue copies them.
+  run_.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
-    records.push_back(decode_record_view(in));
+    const WireRecordView wr = decode_record_view(in);
+    run_.add(wr.record, wr.entry);
   }
   if (in.remaining() != 0) {
-    throw ParseError("trailing bytes after submitted records");
+    malformed_submit("trailing bytes after submitted records");
   }
-  std::uint64_t accepted = 0;
-  bool busy = false;
-  for (const WireRecordView& wr : records) {
-    if (shards_->submit(frame.stream_id, wr.record, std::string(wr.entry)) ==
-        ShardManager::Submit::kBusy) {
-      busy = true;
-      break;
-    }
-    ++accepted;
-  }
+  const std::uint64_t accepted = shards_->submit(frame.stream_id, run_.run());
+  const bool busy = accepted < count;
   if (busy) {
     busy_latched_ = true;
   }
@@ -240,22 +249,15 @@ Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
     // resumes from that offset with a fresh frame.
     seq_watermark_ = frame.seq;
   }
-  Frame reply;
-  reply.type = busy ? MessageType::kRejectedBusy : MessageType::kOk;
-  reply.stream_id = frame.stream_id;
-  reply.seq = frame.seq;
-  std::string payload;
   // Both replies carry the accepted count: on kRejectedBusy the client
   // resumes the batch from this offset after backing off.
-  payload.reserve(8);
-  for (int b = 0; b < 8; ++b) {
-    payload.push_back(static_cast<char>((accepted >> (8 * b)) & 0xff));
-  }
-  reply.payload = std::move(payload);
-  respond(std::move(reply), out);
+  respond(count_reply(busy ? MessageType::kRejectedBusy : MessageType::kOk,
+                       frame, accepted),
+          out);
   metrics_->submit_micros.record(monotonic_micros() - started);
   return Status::kKeepOpen;
 }
+// bgl:hot-end
 
 void Session::handle_poll(const Frame& frame, std::string& out) {
   if (!frame.payload.empty()) {
@@ -266,7 +268,7 @@ void Session::handle_poll(const Frame& frame, std::string& out) {
   reply.stream_id = frame.stream_id;
   reply.seq = frame.seq;
   reply.payload = encode_warnings(shards_->poll(frame.stream_id));
-  respond(std::move(reply), out);
+  respond(reply, out);
 }
 
 void Session::handle_checkpoint(const Frame& frame, std::string& out) {
@@ -281,7 +283,7 @@ void Session::handle_checkpoint(const Frame& frame, std::string& out) {
   reply.stream_id = frame.stream_id;
   reply.seq = frame.seq;
   reply.payload = std::move(blob).str();
-  respond(std::move(reply), out);
+  respond(reply, out);
 }
 
 void Session::handle_restore(const Frame& frame, std::string& out) {
@@ -297,7 +299,7 @@ void Session::handle_restore(const Frame& frame, std::string& out) {
   reply.type = MessageType::kOk;
   reply.stream_id = frame.stream_id;
   reply.seq = frame.seq;
-  respond(std::move(reply), out);
+  respond(reply, out);
 }
 
 void Session::handle_stats(const Frame& frame, std::string& out) {
@@ -318,7 +320,7 @@ void Session::handle_stats(const Frame& frame, std::string& out) {
   reply.stream_id = frame.stream_id;
   reply.seq = frame.seq;
   reply.payload = metrics_->registry->dump_json();
-  respond(std::move(reply), out);
+  respond(reply, out);
 }
 
 void Session::handle_stream_status(const Frame& frame, std::string& out) {
@@ -330,16 +332,9 @@ void Session::handle_stream_status(const Frame& frame, std::string& out) {
   // client (Client::submit_all_resilient) reads this after reconnecting
   // and skips exactly that many records, making retries exactly-once
   // from the engine's perspective.
-  const std::uint64_t accepted = shards_->stream_accepted(frame.stream_id);
-  Frame reply;
-  reply.type = MessageType::kOk;
-  reply.stream_id = frame.stream_id;
-  reply.seq = frame.seq;
-  reply.payload.reserve(8);
-  for (int b = 0; b < 8; ++b) {
-    reply.payload.push_back(static_cast<char>((accepted >> (8 * b)) & 0xff));
-  }
-  respond(std::move(reply), out);
+  respond(count_reply(MessageType::kOk, frame,
+                      shards_->stream_accepted(frame.stream_id)),
+          out);
 }
 
 }  // namespace bglpred::serve

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "raslog/record_run.hpp"
 #include "serve/protocol.hpp"
 #include "serve/shard_manager.hpp"
 
@@ -59,7 +60,7 @@ class Session {
 
  private:
   Status handle_frame(const Frame& frame, std::string& out);
-  void respond(Frame frame, std::string& out);
+  void respond(const Frame& frame, std::string& out);
   void respond_error(ErrorCode code, std::string message, const Frame& frame,
                      std::string& out);
   Status handle_submit(const Frame& frame, std::string& out);
@@ -74,6 +75,10 @@ class Session {
   ServeMetrics* metrics_;
   SessionLimits limits_;
   FrameReader reader_;
+  /// Reused for every frame and every SUBMIT, so a steady stream of
+  /// SUBMITs allocates nothing once their buffers have grown.
+  Frame frame_;
+  RecordRunBuilder run_;
   std::uint64_t frames_seen_ = 0;
   // Rolling budget window (meaningful only when limits_ enable a bound).
   std::uint64_t window_start_micros_ = 0;

@@ -1,5 +1,6 @@
 #include "serve/shard_manager.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -11,6 +12,7 @@
 #include "common/binary.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
 
@@ -96,43 +98,122 @@ ShardManager::Stream& ShardManager::stream_for(Shard& shard,
   return it->second;
 }
 
+// bgl:hot-begin(shard-run-queue)
+// Once per SUBMIT frame: one capacity check, flat appends into buffers
+// that keep their capacity across drains, one accounting step. The
+// drain loop below is once per queued run.
+void ShardManager::RunQueue::clear() {
+  runs.clear();
+  records.clear();
+  text_ids.clear();
+  texts.clear();
+  text_offsets.clear();
+  bytes.clear();
+}
+
+void ShardManager::RunQueue::append(std::uint64_t stream_id,
+                                    const RecordRun& run, std::size_t n) {
+  runs.push_back(Run{stream_id, records.size(), texts.size()});
+  records.insert(records.end(), run.records.begin(),
+                 run.records.begin() + static_cast<std::ptrdiff_t>(n));
+  // Text ids number texts by first use, so a prefix of the records uses
+  // a prefix of the texts.
+  std::uint32_t used = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t id = run.text_ids[i];
+    text_ids.push_back(id);
+    used = std::max(used, id + 1);
+  }
+  for (std::uint32_t id = 0; id < used; ++id) {
+    const RunText& text = run.texts[id];
+    text_offsets.push_back(bytes.size());
+    bytes.append(text.text);
+    texts.push_back(RunText{std::string_view(), text.hash});
+  }
+}
+
+void ShardManager::RunQueue::settle() {
+  for (std::size_t k = 0; k < texts.size(); ++k) {
+    const std::size_t end =
+        k + 1 < texts.size() ? text_offsets[k + 1] : bytes.size();
+    texts[k].text = std::string_view(bytes).substr(text_offsets[k],
+                                                   end - text_offsets[k]);
+  }
+}
+
+RecordRun ShardManager::RunQueue::run(std::size_t k) const {
+  const Run& r = runs[k];
+  const bool last = k + 1 == runs.size();
+  const std::size_t record_end =
+      last ? records.size() : runs[k + 1].first_record;
+  const std::size_t text_end = last ? texts.size() : runs[k + 1].first_text;
+  return RecordRun{
+      std::span(records).subspan(r.first_record,
+                                 record_end - r.first_record),
+      std::span(text_ids).subspan(r.first_record,
+                                  record_end - r.first_record),
+      std::span(texts).subspan(r.first_text, text_end - r.first_text)};
+}
+
+std::size_t ShardManager::submit(std::uint64_t stream_id,
+                                 const RecordRun& run) {
+  Shard& shard = shards_[shard_of(stream_id, shards_.size())];
+  const std::size_t queued = shard.queue.records.size();
+  const std::size_t room =
+      options_.queue_capacity > queued ? options_.queue_capacity - queued : 0;
+  const std::size_t n = std::min(run.records.size(), room);
+  if (n < run.records.size()) {
+    metrics_.records_rejected.inc();
+  }
+  if (n == 0) {
+    return 0;
+  }
+  shard.queue.append(stream_id, run, n);
+  shard.queue_depth->set(static_cast<std::int64_t>(queued + n));
+  metrics_.records_in.inc(n);
+  accepted_totals_[stream_id] += n;
+  return n;
+}
+
+void ShardManager::drain_shard(std::size_t index) {
+  Shard& shard = shards_[index];
+  // Emptied on every exit: runs fed before an engine threw must not be
+  // fed again by the next drain.
+  struct Emptied {
+    Shard& shard;
+    ~Emptied() {
+      shard.queue.clear();
+      shard.queue_depth->set(0);
+    }
+  } emptied{shard};
+  RunQueue& queue = shard.queue;
+  queue.settle();
+  for (std::size_t k = 0; k < queue.runs.size(); ++k) {
+    Stream& stream = stream_for(shard, index, queue.runs[k].stream_id);
+    const std::size_t warned = stream.pending.size();
+    stream.engine.feed(queue.run(k), stream.pending);
+    // One clock read per run that warned stamps all of its warnings.
+    if (stream.pending.size() > warned) {
+      stream.pending_born_micros.resize(stream.pending.size(),
+                                        monotonic_micros());
+    }
+  }
+}
+// bgl:hot-end
+
 ShardManager::Submit ShardManager::submit(std::uint64_t stream_id,
                                           const RasRecord& record,
-                                          std::string entry) {
-  const std::size_t index = shard_of(stream_id, shards_.size());
-  Shard& shard = shards_[index];
-  if (shard.queue.size() >= options_.queue_capacity) {
-    metrics_.records_rejected.inc();
-    return Submit::kBusy;
-  }
-  shard.queue.push_back(QueuedRecord{stream_id, record, std::move(entry),
-                                     monotonic_micros()});
-  shard.queue_depth->set(static_cast<std::int64_t>(shard.queue.size()));
-  metrics_.records_in.inc();
-  ++accepted_totals_[stream_id];
-  return Submit::kAccepted;
+                                          std::string_view entry) {
+  const RunText text{entry, stable_hash64(entry)};
+  const std::uint32_t text_id = 0;
+  return submit(stream_id, RecordRun{{&record, 1}, {&text_id, 1}, {&text, 1}})
+             ? Submit::kAccepted
+             : Submit::kBusy;
 }
 
 std::uint64_t ShardManager::stream_accepted(std::uint64_t stream_id) const {
   const auto it = accepted_totals_.find(stream_id);
   return it == accepted_totals_.end() ? 0 : it->second;
-}
-
-void ShardManager::drain_shard(std::size_t index) {
-  Shard& shard = shards_[index];
-  while (!shard.queue.empty()) {
-    QueuedRecord item = std::move(shard.queue.front());
-    shard.queue.pop_front();
-    Stream& stream = stream_for(shard, index, item.stream_id);
-    std::vector<Warning> warnings =
-        stream.engine.feed(item.record, item.entry);
-    const std::uint64_t born = monotonic_micros();
-    for (Warning& w : warnings) {
-      stream.pending.push_back(std::move(w));
-      stream.pending_born_micros.push_back(born);
-    }
-  }
-  shard.queue_depth->set(0);
 }
 
 void ShardManager::drain() {

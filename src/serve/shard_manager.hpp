@@ -10,13 +10,19 @@
 // shared: every stream whose predictor loads the same rules matches
 // against one RuleSet (see load_rules in mining/rules.hpp).
 //
-// Hand-off is batched and bounded: submit() only enqueues into the
-// target shard's FIFO (capacity `queue_capacity` records) and reports
-// kBusy when the queue is full — the session layer turns that into a
-// REJECTED_BUSY response instead of buffering without bound. drain()
-// processes every queue, inline or fanned out one task per shard on a
-// ThreadPool; shards never share engines, so shard-level parallelism
-// cannot reorder a stream.
+// Hand-off is by run and bounded: submit() appends one run — a SUBMIT
+// frame's records with each distinct entry text stored once
+// (raslog/record_run.hpp) — to the target shard's FIFO, whose capacity
+// `queue_capacity` counts records. It accepts the longest prefix that
+// fits, min(run size, capacity - queued records), and the session layer
+// answers a short prefix with REJECTED_BUSY instead of buffering without
+// bound. Accounting is per run: one capacity check, one accepted-total
+// update, one counter increment and one gauge store, no clock read. The
+// queue is flat (records, text ids, texts, text bytes) and keeps its
+// buffers across drains, so a steady stream of frames allocates nothing.
+// drain() hands each run to its stream's engine, inline or fanned out
+// one task per shard on a ThreadPool; shards never share engines, so
+// shard-level parallelism cannot reorder a stream.
 //
 // save()/restore() checkpoint the whole shard set — every engine via its
 // PR 3 checkpoint format plus each stream's pending (emitted but not yet
@@ -30,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,12 +76,18 @@ class ShardManager {
   static std::size_t shard_of(std::uint64_t stream_id,
                               std::size_t shard_count);
 
-  /// Enqueues one record for `stream_id`; kBusy when the target shard's
-  /// queue is at capacity (nothing is enqueued in that case).
-  Submit submit(std::uint64_t stream_id, const RasRecord& record,
-                std::string entry);
+  /// Enqueues the longest prefix of `run` that fits in the target
+  /// shard's queue — min(run size, capacity - queued records) records,
+  /// copying the texts they use — and returns its length. A run cut
+  /// short counts one serve.records_rejected.
+  std::size_t submit(std::uint64_t stream_id, const RecordRun& run);
 
-  /// Processes every queued record in every shard. With worker threads,
+  /// The run of one: kBusy when the target shard's queue is at capacity
+  /// (nothing is enqueued in that case).
+  Submit submit(std::uint64_t stream_id, const RasRecord& record,
+                std::string_view entry);
+
+  /// Processes every queued run in every shard. With worker threads,
   /// one task per non-empty shard, joined before returning.
   void drain();
 
@@ -133,11 +146,34 @@ class ShardManager {
   ServeMetrics& metrics() { return metrics_; }
 
  private:
-  struct QueuedRecord {
-    std::uint64_t stream_id = 0;
-    RasRecord record;
-    std::string entry;
-    std::uint64_t enqueued_micros = 0;  ///< steady-clock stamp
+  /// One shard's FIFO of accepted runs in flat buffers. Run k owns
+  /// records [runs[k].first_record, runs[k+1].first_record) and texts
+  /// [runs[k].first_text, runs[k+1].first_text); its text ids index its
+  /// own texts. A text's view is pointed into `bytes` when the queue is
+  /// drained, after the last append can have moved them.
+  struct RunQueue {
+    struct Run {
+      std::uint64_t stream_id = 0;
+      std::size_t first_record = 0;
+      std::size_t first_text = 0;
+    };
+    std::vector<Run> runs;
+    std::vector<RasRecord> records;
+    std::vector<std::uint32_t> text_ids;
+    std::vector<RunText> texts;
+    std::vector<std::size_t> text_offsets;  ///< into `bytes`, per text
+    std::string bytes;
+
+    bool empty() const { return runs.empty(); }
+    /// Empties the queue and keeps every buffer.
+    void clear();
+    /// Appends the first `n` records of `run` and the texts they use.
+    void append(std::uint64_t stream_id, const RecordRun& run,
+                std::size_t n);
+    /// Points every text view into `bytes`; call once before run().
+    void settle();
+    /// Run k of runs.size().
+    RecordRun run(std::size_t k) const;
   };
 
   /// One stream's full serving state.
@@ -151,7 +187,7 @@ class ShardManager {
   };
 
   struct Shard {
-    std::deque<QueuedRecord> queue;
+    RunQueue queue;
     std::map<std::uint64_t, Stream> streams;  // ordered: checkpoint bytes
     Gauge* queue_depth = nullptr;
     Gauge* stream_count = nullptr;

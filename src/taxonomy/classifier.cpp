@@ -57,14 +57,18 @@ void EventClassifier::classify_record(std::string_view entry_data,
                                       RasRecord& rec,
                                       ClassificationStats& stats) const {
   bool matched_phrase = false;
-  const SubcategoryId id =
+  rec.subcategory =
       classify(entry_data, rec.facility, rec.severity, &matched_phrase);
+  tally(stats, rec.subcategory, matched_phrase);
+}
+
+void EventClassifier::tally(ClassificationStats& stats, SubcategoryId id,
+                            bool matched_phrase) {
   if (matched_phrase) {
     ++stats.classified_by_phrase;
   } else {
     ++stats.classified_by_fallback;
   }
-  rec.subcategory = id;
   ++stats.total;
   ++stats.per_main[static_cast<std::size_t>(catalog().info(id).main)];
 }
@@ -97,8 +101,14 @@ SubcategoryId EventClassifier::fallback(Facility facility,
 
 ClassificationStats EventClassifier::classify_all(RasLog& log) const {
   ClassificationStats stats;
+  ClassificationMemo memo;
+  memo.reset(log.pool().size());
   for (RasRecord& rec : log.mutable_records()) {
-    classify_record(log.text_of(rec), rec, stats);
+    bool matched_phrase = false;
+    rec.subcategory =
+        memo.classify(*this, rec.entry_data, log.text_of(rec), rec.facility,
+                      rec.severity, &matched_phrase);
+    tally(stats, rec.subcategory, matched_phrase);
   }
   return stats;
 }

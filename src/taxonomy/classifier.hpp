@@ -50,16 +50,61 @@ class EventClassifier {
                        ClassificationStats& stats) const;
 
   /// Classifies every record in the log in place (fills
-  /// RasRecord::subcategory) and returns statistics.
+  /// RasRecord::subcategory) and returns statistics: the stats of
+  /// classify_record over every record, but each distinct (pool id,
+  /// facility, severity) is classified once (ClassificationMemo).
   ClassificationStats classify_all(RasLog& log) const;
 
  private:
   SubcategoryId fallback(Facility facility, Severity severity) const;
+  /// Adds one record of class `id` to `stats`.
+  static void tally(ClassificationStats& stats, SubcategoryId id,
+                    bool matched_phrase);
 
   // Phrase index: per facility, the (phrase, id) list to scan. Facility
   // narrows candidates so the text scan is short.
   std::vector<std::vector<std::pair<std::string_view, SubcategoryId>>>
       by_facility_;
+};
+
+/// One remembered classification per text id, for callers whose ids name
+/// distinct texts (a log's pool ids, a run's text ids). A record's class
+/// depends only on (text, facility, severity), so classify() returns the
+/// remembered class when the id's last (facility, severity) matches and
+/// runs the classifier otherwise: exact, and a text always seen with one
+/// facility and severity is classified once per reset().
+class ClassificationMemo {
+ public:
+  /// Forgets every id; ids [0, ids) become valid. Keeps its buffer.
+  void reset(std::size_t ids) { slots_.assign(ids, Slot{}); }
+
+  SubcategoryId classify(const EventClassifier& classifier, std::uint32_t id,
+                         std::string_view text, Facility facility,
+                         Severity severity, bool* matched_phrase = nullptr) {
+    Slot& slot = slots_[id];
+    if (!slot.known || slot.facility != facility ||
+        slot.severity != severity) {
+      slot.subcategory =
+          classifier.classify(text, facility, severity, &slot.matched_phrase);
+      slot.facility = facility;
+      slot.severity = severity;
+      slot.known = true;
+    }
+    if (matched_phrase != nullptr) {
+      *matched_phrase = slot.matched_phrase;
+    }
+    return slot.subcategory;
+  }
+
+ private:
+  struct Slot {
+    SubcategoryId subcategory = kUnclassified;
+    Facility facility = Facility::kApp;
+    Severity severity = Severity::kInfo;
+    bool matched_phrase = false;
+    bool known = false;
+  };
+  std::vector<Slot> slots_;
 };
 
 }  // namespace bglpred

@@ -11,6 +11,7 @@
 #include "phase1_oracle.hpp"
 #include "preprocess/pipeline.hpp"
 #include "raslog/log.hpp"
+#include "simgen/generator.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -325,6 +326,52 @@ TEST(PipelineTest, EmptyLogIsFine) {
   const PreprocessStats stats = preprocess(log);
   EXPECT_EQ(stats.raw_records, 0u);
   EXPECT_EQ(stats.unique_events, 0u);
+}
+
+// classify_all, and so preprocess(), classifies each distinct (pool id,
+// facility, severity) once. Per record it must equal classify_record, the
+// unmemoized classification, in subcategory and in every statistic.
+TEST(ClassifyAllMemoTest, EqualsPerRecordClassificationOnEveryProfile) {
+  const struct {
+    const char* name;
+    SystemProfile profile;
+    double scale;
+  } logs[] = {
+      {"ANL", SystemProfile::anl(), 0.05},
+      {"SDSC", SystemProfile::sdsc(), 0.1},
+      {"BGQ", SystemProfile::bgq_multistream(), 0.01},
+      {"DCP", SystemProfile::dc_prophet(), 0.005},
+  };
+  const EventClassifier classifier;
+  for (const auto& l : logs) {
+    SCOPED_TRACE(l.name);
+    const RasLog raw = LogGenerator(l.profile).generate(l.scale, 1).log;
+    RasLog memoized = raw.subset(raw.records());
+    const ClassificationStats got = classifier.classify_all(memoized);
+    RasLog oracle = raw.subset(raw.records());
+    ClassificationStats want;
+    for (RasRecord& rec : oracle.mutable_records()) {
+      classifier.classify_record(oracle.text_of(rec), rec, want);
+    }
+    ASSERT_LT(oracle.pool().size(), oracle.size() / 2)
+        << "texts must repeat for the memo to matter";
+    EXPECT_EQ(got.classified_by_phrase, want.classified_by_phrase);
+    EXPECT_EQ(got.classified_by_fallback, want.classified_by_fallback);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.per_main, want.per_main);
+    ASSERT_EQ(memoized.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(memoized.records()[i].subcategory,
+                oracle.records()[i].subcategory)
+          << "record " << i;
+    }
+    RasLog preprocessed = raw.subset(raw.records());
+    const PreprocessStats stats = preprocess(preprocessed);
+    EXPECT_EQ(stats.classification.total, want.total);
+    EXPECT_EQ(stats.classification.classified_by_phrase,
+              want.classified_by_phrase);
+    EXPECT_EQ(stats.classification.per_main, want.per_main);
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "meta/meta_learner.hpp"
 #include "predict/rule_predictor.hpp"
 #include "predict/statistical_predictor.hpp"
+#include "raslog/record_run.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -222,6 +223,179 @@ TEST(SessionTest, FullyRejectedSubmitCanBeRetransmittedVerbatim) {
   ASSERT_EQ(replies[0].type, MessageType::kError);
   EXPECT_EQ(decode_error_payload(replies[0]).code,
             ErrorCode::kDuplicateFrame);
+}
+
+/// A SUBMIT_BATCH frame carrying `records`.
+Frame batch_frame(const std::vector<WireRecord>& records,
+                  std::uint64_t stream_id, std::uint32_t seq) {
+  Frame request;
+  request.type = MessageType::kSubmitBatch;
+  request.stream_id = stream_id;
+  request.seq = seq;
+  wire::append<std::uint32_t>(request.payload,
+                              static_cast<std::uint32_t>(records.size()));
+  for (const WireRecord& wr : records) {
+    encode_record(request.payload, wr.record, wr.entry);
+  }
+  return request;
+}
+
+std::string checkpoint_of(ShardManager& manager) {
+  std::ostringstream os;
+  manager.save(os);
+  return os.str();
+}
+
+TEST(SessionTest, TruncatedLastRecordFailsTheFrameWithNothingEnqueued) {
+  const ThreePhasePredictor tpp;
+  MetricsRegistry registry;
+  ShardManager manager(small_shard_options(tpp), registry);
+  Session session(manager);
+
+  GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.01);
+  const auto streams = split_streams(g, 1, 5);
+  Frame request = batch_frame(streams[0], 1, 1);
+  request.payload.resize(request.payload.size() - 3);  // cut the last text
+  std::string out;
+  ASSERT_EQ(session.on_bytes(encode_frame(request), out),
+            Session::Status::kKeepOpen);
+  auto replies = parse_frames(out);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_EQ(replies[0].type, MessageType::kError);
+  EXPECT_EQ(decode_error_payload(replies[0]).code, ErrorCode::kBadPayload);
+  EXPECT_EQ(manager.metrics().records_in.value(), 0u);
+  EXPECT_EQ(manager.stream_accepted(1), 0u);
+  manager.drain();
+  EXPECT_EQ(manager.stream_count(), 0u) << "no record reached an engine";
+
+  // The watermark did not move: the intact frame under the same seq
+  // applies in full.
+  out.clear();
+  session.on_bytes(encode_frame(batch_frame(streams[0], 1, 1)), out);
+  replies = parse_frames(out);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, MessageType::kOk);
+  EXPECT_EQ(accepted_count(replies[0]), 5u);
+}
+
+TEST(ShardManagerTest, RunMeetingANearlyFullQueueAcceptsThePrefixThatFits) {
+  const ThreePhasePredictor tpp;
+  GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.01);
+  const auto streams = split_streams(g, 1, 13);
+  const auto run_of = [&streams](std::size_t begin, std::size_t end,
+                                 RecordRunBuilder& builder) {
+    builder.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      builder.add(streams[0][i].record, streams[0][i].entry);
+    }
+    return builder.run();
+  };
+  MetricsRegistry registry;
+  ShardOptions options = small_shard_options(tpp);
+  options.shard_count = 1;
+  options.queue_capacity = 10;
+  ShardManager manager(options, registry);
+  RecordRunBuilder builder;
+  EXPECT_EQ(manager.submit(2, run_of(0, 7, builder)), 7u);
+  EXPECT_EQ(manager.metrics().records_rejected.value(), 0u);
+  // 3 of the next 6 fit: exactly min(count, capacity - queued).
+  EXPECT_EQ(manager.submit(2, run_of(7, 13, builder)), 3u);
+  EXPECT_EQ(manager.metrics().records_rejected.value(), 1u);
+  EXPECT_EQ(manager.metrics().records_in.value(), 10u);
+  EXPECT_EQ(manager.stream_accepted(2), 10u);
+  EXPECT_EQ(manager.submit(2, run_of(10, 13, builder)), 0u);
+  EXPECT_EQ(manager.metrics().records_rejected.value(), 2u);
+
+  // What was accepted is the first 10 records, in order.
+  MetricsRegistry reference_registry;
+  ShardManager reference(options, reference_registry);
+  for (std::size_t i = 0; i < 10; ++i) {
+    ASSERT_EQ(reference.submit(2, streams[0][i].record, streams[0][i].entry),
+              ShardManager::Submit::kAccepted);
+  }
+  EXPECT_TRUE(checkpoint_of(manager) == checkpoint_of(reference));
+}
+
+TEST(ShardManagerTest, RunOfOneBehavesLikeSingleSubmit) {
+  const ThreePhasePredictor tpp;
+  GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.01);
+  const auto streams = split_streams(g, 2, 300);
+  ShardOptions options = small_shard_options(tpp);
+  options.queue_capacity = 8;
+  MetricsRegistry single_registry;
+  MetricsRegistry run_registry;
+  ShardManager single(options, single_registry);
+  ShardManager runs(options, run_registry);
+  RecordRunBuilder builder;
+  std::size_t busy = 0;
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const WireRecord& wr = streams[s][i];
+      builder.clear();
+      builder.add(wr.record, wr.entry);
+      const ShardManager::Submit got = single.submit(s, wr.record, wr.entry);
+      ASSERT_EQ(runs.submit(s, builder.run()),
+                got == ShardManager::Submit::kAccepted ? 1u : 0u);
+      busy += got == ShardManager::Submit::kBusy;
+    }
+    if (i % 11 == 10) {
+      single.drain();
+      runs.drain();
+    }
+  }
+  EXPECT_GT(busy, 0u) << "the queue bound was never reached";
+  EXPECT_EQ(single.metrics().records_rejected.value(),
+            runs.metrics().records_rejected.value());
+  EXPECT_EQ(single.metrics().records_in.value(),
+            runs.metrics().records_in.value());
+  EXPECT_TRUE(checkpoint_of(single) == checkpoint_of(runs));
+}
+
+TEST(SessionTest, BatchFramesCheckpointLikeRecordFrames) {
+  // A server fed 64-record SUBMIT_BATCH runs holds, byte for byte, the
+  // shard state of one fed the same streams one SUBMIT_RECORD at a time.
+  const ThreePhasePredictor tpp;
+  GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.02);
+  const auto streams = split_streams(g, 4, 4000);
+  ShardOptions options = small_shard_options(tpp);
+  options.queue_capacity = 1u << 12;
+  MetricsRegistry batch_registry;
+  MetricsRegistry record_registry;
+  ShardManager batched(options, batch_registry);
+  ShardManager single(options, record_registry);
+  Session batch_session(batched);
+  Session record_session(single);
+  std::string out;
+  std::uint32_t batch_seq = 0;
+  std::uint32_t record_seq = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (std::size_t begin = 0; begin < streams[s].size(); begin += 64) {
+      const std::size_t end = std::min(begin + 64, streams[s].size());
+      const std::vector<WireRecord> slice(
+          streams[s].begin() + static_cast<std::ptrdiff_t>(begin),
+          streams[s].begin() + static_cast<std::ptrdiff_t>(end));
+      batch_session.on_bytes(encode_frame(batch_frame(slice, s, ++batch_seq)),
+                             out);
+      for (const WireRecord& wr : slice) {
+        Frame request;
+        request.type = MessageType::kSubmitRecord;
+        request.stream_id = s;
+        request.seq = ++record_seq;
+        encode_record(request.payload, wr.record, wr.entry);
+        record_session.on_bytes(encode_frame(request), out);
+      }
+      if (begin % 512 == 0) {
+        batched.drain();
+        single.drain();
+      }
+    }
+  }
+  for (const Frame& reply : parse_frames(out)) {
+    ASSERT_EQ(reply.type, MessageType::kOk);
+  }
+  EXPECT_EQ(batched.metrics().records_in.value(), 4000u);
+  EXPECT_EQ(single.metrics().records_in.value(), 4000u);
+  EXPECT_TRUE(checkpoint_of(batched) == checkpoint_of(single));
 }
 
 TEST(ShardManagerTest, RestoreDoesNotDoubleEngineCounters) {

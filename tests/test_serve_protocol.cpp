@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "crc32_oracle.hpp"
 #include "serve/protocol.hpp"
 #include "taxonomy/catalog.hpp"
 
@@ -26,6 +28,30 @@ TEST(Crc32Test, SeedChainsMultiPartComputations) {
   const std::uint32_t whole = crc32("123456789");
   const std::uint32_t part = crc32("6789", crc32("12345"));
   EXPECT_EQ(part, whole);
+}
+
+TEST(Crc32Test, SlicingKernelEqualsBytewiseOracle) {
+  // Every length 0..4096 at 8 start alignments, each CRC seeding the
+  // next, so a wrong table or a mishandled head or tail shows up.
+  std::string bytes(4096 + 8, '\0');
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (char& c : bytes) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  std::uint32_t fast = 0;
+  std::uint32_t slow = 0;
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const std::string_view data(bytes.data() + align, length);
+      fast = crc32(data, fast);
+      slow = oracle::crc32_bytewise(data, slow);
+      ASSERT_EQ(fast, slow) << "length " << length << " alignment " << align;
+    }
+  }
+  EXPECT_EQ(oracle::crc32_bytewise("123456789"), 0xCBF43926u);
 }
 
 // ---- framing -------------------------------------------------------------
@@ -52,6 +78,25 @@ TEST(FrameTest, EncodeDecodeRoundtrip) {
   EXPECT_EQ(got.payload, sent.payload);
   EXPECT_EQ(reader.next(got, error), FrameReader::Status::kNeedMore);
   EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameTest, EncodedBytesArePinned) {
+  // Wire protocol version 1, byte for byte (the CRC is zlib's crc32 of
+  // "payload bytes"): a kernel or encoder change must not move a byte.
+  const std::string want =
+      "42474c53010100000df0fecaefbeadde070000000d000000aaa5b6d8"
+      "7061796c6f6164206279746573";
+  const std::string bytes = encode_frame(sample_frame());
+  std::string hex;
+  for (const char c : bytes) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[static_cast<unsigned char>(c) >> 4];
+    hex += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  EXPECT_EQ(hex, want);
+  std::string appended = "prefix";
+  append_frame(appended, sample_frame());
+  EXPECT_EQ(appended, "prefix" + bytes);
 }
 
 TEST(FrameTest, IncrementalFeedNeedsEveryByte) {
@@ -162,7 +207,7 @@ TEST(CodecTest, RecordRoundtrip) {
   std::string bytes;
   encode_record(bytes, rec, entry);
   BytesReader in(bytes);
-  const WireRecord got = decode_record(in);
+  const WireRecordView got = decode_record_view(in);
   EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(got.record.time, rec.time);
   EXPECT_EQ(got.record.job, rec.job);
@@ -183,7 +228,7 @@ TEST(CodecTest, TruncatedRecordThrowsParseError) {
   encode_record(bytes, sample_record(), "entry");
   for (const std::size_t keep : {0u, 1u, 8u, 20u}) {
     BytesReader in(std::string_view(bytes).substr(0, keep));
-    EXPECT_THROW(decode_record(in), ParseError) << "kept " << keep;
+    EXPECT_THROW(decode_record_view(in), ParseError) << "kept " << keep;
   }
 }
 

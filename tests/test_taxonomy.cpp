@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
 #include "raslog/log.hpp"
@@ -172,6 +174,35 @@ TEST(ClassifierTest, ClassifyAllFillsSubcategories) {
   for (const RasRecord& rec : log.records()) {
     EXPECT_NE(rec.subcategory, kUnclassified);
   }
+}
+
+TEST(ClassificationMemoTest, ReclassifiesWhenFacilityOrSeverityChanges) {
+  // One text under two (facility, severity) pairs: the memo must answer
+  // each record as the classifier does, however the pairs alternate.
+  const EventClassifier classifier;
+  ClassificationMemo memo;
+  memo.reset(1);
+  const std::string_view text = "mystery event with no catalog phrase";
+  const std::pair<Facility, Severity> keys[] = {
+      {Facility::kKernel, Severity::kFatal},
+      {Facility::kKernel, Severity::kFatal},
+      {Facility::kApp, Severity::kInfo},
+      {Facility::kKernel, Severity::kFatal},
+      {Facility::kKernel, Severity::kInfo},
+  };
+  for (const auto& [facility, severity] : keys) {
+    bool matched = true;
+    bool want_matched = true;
+    EXPECT_EQ(memo.classify(classifier, 0, text, facility, severity,
+                            &matched),
+              classifier.classify(text, facility, severity, &want_matched));
+    EXPECT_EQ(matched, want_matched);
+  }
+  memo.reset(2);
+  const SubcategoryInfo& info = catalog().entries().front();
+  EXPECT_EQ(memo.classify(classifier, 1, info.phrase, info.facility,
+                          info.severity),
+            info.id);
 }
 
 }  // namespace

@@ -123,6 +123,7 @@ REQUIRED_HOT_FILES = (
     "src/preprocess/phase1.cpp",
     "src/core/online.cpp",
     "src/serve/session.cpp",
+    "src/serve/shard_manager.cpp",
     "src/serve/server.cpp",
     "src/serve/event_poller.cpp",
 )
