@@ -3,18 +3,22 @@
 //   $ ./perf_serve_submit           # emits BENCH_perf_serve_submit.json
 //   $ ./perf_serve_submit --smoke   # CI gate, then every row briefly
 //
-// BM_Crc32/{slicing,bytewise}: the frame CRC kernel against the bytewise
-// oracle it replaced (tests/crc32_oracle.hpp), on 64 KiB buffers.
+// BM_Crc32/{bytewise,slicing,folded}: the two frame CRC kernels
+// (common/crc32.hpp) against the bytewise oracle (tests/crc32_oracle.hpp),
+// on 64 KiB buffers; the folded row reports an error on a CPU without
+// PCLMULQDQ.
 // BM_ServeSubmit: pre-encoded SUBMIT_BATCH frames of 8 ANL installations,
 // 64 records each as servebench sends them, through Session::on_bytes and
 // ShardManager::drain (once per 256 KiB of frames, the server's cadence)
 // into engines running the trained meta-learner. The model is trained
 // once and each pass's 8 predictors are loaded before its timing starts.
 //
-// --smoke gates a same-process ratio, not a committed baseline: the
-// slicing kernel must checksum at least 3x as fast as the bytewise loop,
-// both timed here on the same buffers; and a served pass must accept
-// every record with no error reply.
+// --smoke gates same-process ratios, not a committed baseline, all timed
+// here on the same buffers: the slicing kernel must checksum at least 3x
+// as fast as the bytewise loop, and where the CPU runs the folded kernel
+// it must be at least 4x the slicing kernel. It prints which kernel
+// crc32() selected, and a served pass must accept every record with no
+// error reply.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,7 +46,8 @@ constexpr std::size_t kCrcBytes = 64 * 1024;
 constexpr std::size_t kInstallations = 8;
 constexpr std::size_t kRecordsPerFrame = 64;
 constexpr std::size_t kDrainBytes = 256 * 1024;
-constexpr double kMinCrcSpeedup = 3.0;
+constexpr double kMinSlicingSpeedup = 3.0;
+constexpr double kMinFoldedSpeedup = 4.0;
 
 const std::string& crc_buffer() {
   static const std::string bytes = [] {
@@ -57,17 +62,35 @@ const std::string& crc_buffer() {
   return bytes;
 }
 
+using Crc32Kernel = std::uint32_t (*)(std::string_view, std::uint32_t);
+
+struct NamedKernel {
+  const char* name;
+  Crc32Kernel kernel;
+};
+
+/// BM_Crc32's rows, by state.range(0); 0 and 1 keep their earlier names.
+const NamedKernel kKernels[] = {
+    {"bytewise oracle", &oracle::crc32_bytewise},
+    {"slicing-by-8", &crc32_slicing},
+    {"folded", &crc32_folded},
+};
+
 void BM_Crc32(benchmark::State& state) {
+  const NamedKernel& k = kKernels[state.range(0)];
+  if (k.kernel == &crc32_folded && !crc32_folded_supported()) {
+    state.SkipWithError("this CPU lacks PCLMULQDQ and SSE4.1");
+    return;
+  }
   const std::string& bytes = crc_buffer();
-  const bool slicing = state.range(0) == 1;
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = slicing ? crc32(bytes, crc) : oracle::crc32_bytewise(bytes, crc);
+    crc = k.kernel(bytes, crc);
     benchmark::DoNotOptimize(crc);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes.size()));
-  state.SetLabel(slicing ? "slicing-by-8" : "bytewise oracle");
+  state.SetLabel(k.name);
 }
 
 RasLog streamed(double scale, std::uint64_t seed_offset) {
@@ -200,8 +223,7 @@ void BM_ServeSubmit(benchmark::State& state) {
 }
 
 /// Fastest of `reps` timings of 64 checksums of the 64 KiB buffer, in s.
-template <typename Kernel>
-double min_seconds(int reps, Kernel kernel) {
+double min_seconds(int reps, Crc32Kernel kernel) {
   double best = 1e30;
   std::uint32_t crc = 0;
   for (int r = 0; r < reps; ++r) {
@@ -217,24 +239,39 @@ double min_seconds(int reps, Kernel kernel) {
   return best;
 }
 
+/// 0 when `fast` checksums at least `floor` times as fast as `slow`.
+int gate(const char* fast_name, double fast, const char* slow_name,
+         double slow, double floor) {
+  const double speedup = slow / fast;
+  std::printf("smoke: crc32 over 64 x 64 KiB: %s %.3f ms, %s %.3f ms, "
+              "speedup %.2fx\n",
+              fast_name, fast * 1e3, slow_name, slow * 1e3, speedup);
+  if (speedup < floor) {
+    std::fprintf(stderr, "smoke: %s speedup %.2fx below the %.1fx gate\n",
+                 fast_name, speedup, floor);
+    return 1;
+  }
+  return 0;
+}
+
 int run_smoke() {
-  const double slicing = min_seconds(
-      15, [](std::string_view b, std::uint32_t s) { return crc32(b, s); });
-  const double bytewise =
-      min_seconds(15, [](std::string_view b, std::uint32_t s) {
-        return oracle::crc32_bytewise(b, s);
-      });
-  const double speedup = bytewise / slicing;
-  std::printf("smoke: crc32 over 64 x 64 KiB: slicing-by-8 %.3f ms, "
-              "bytewise %.3f ms, speedup %.2fx\n",
-              slicing * 1e3, bytewise * 1e3, speedup);
-  if (crc32(crc_buffer()) != oracle::crc32_bytewise(crc_buffer())) {
+  const bool folded = crc32_folded_supported();
+  std::printf("smoke: crc32 selected the %s kernel\n",
+              folded ? "folded (PCLMULQDQ)" : "slicing-by-8");
+  const std::uint32_t want = oracle::crc32_bytewise(crc_buffer());
+  if (crc32(crc_buffer()) != want || crc32_slicing(crc_buffer()) != want ||
+      (folded && crc32_folded(crc_buffer()) != want)) {
     std::fprintf(stderr, "smoke: the kernels disagree\n");
     return 1;
   }
-  if (speedup < kMinCrcSpeedup) {
-    std::fprintf(stderr, "smoke: crc32 speedup %.2fx below the %.1fx gate\n",
-                 speedup, kMinCrcSpeedup);
+  const double slicing = min_seconds(15, &crc32_slicing);
+  const double bytewise = min_seconds(15, &oracle::crc32_bytewise);
+  if (gate("slicing-by-8", slicing, "bytewise", bytewise,
+           kMinSlicingSpeedup) != 0) {
+    return 1;
+  }
+  if (folded && gate("folded", min_seconds(15, &crc32_folded),
+                     "slicing-by-8", slicing, kMinFoldedSpeedup) != 0) {
     return 1;
   }
   const Workload& w = workload();
@@ -252,7 +289,7 @@ int run_smoke() {
 
 }  // namespace
 
-BENCHMARK(BM_Crc32)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Crc32)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServeSubmit)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

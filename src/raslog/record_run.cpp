@@ -22,9 +22,9 @@ void RecordRunBuilder::clear() {
 }
 
 // bgl:hot-begin(record-run)
-// Per record of every SUBMIT: one hash of the entry text and a probe of
-// a table sized to the frame; a text's bytes are compared only when its
-// hash matches.
+// Per record of every SUBMIT: a compare with the previous record's text,
+// else one hash of the entry text and a probe of a table sized to the
+// frame; a text's bytes are compared only when its hash matches.
 std::size_t RecordRunBuilder::probe(std::string_view text,
                                     std::uint64_t hash) const {
   const std::size_t mask = slots_.size() - 1;
@@ -42,6 +42,16 @@ std::size_t RecordRunBuilder::probe(std::string_view text,
 }
 
 void RecordRunBuilder::add(const RasRecord& record, std::string_view text) {
+  // A text equal to the previous record's gets that record's id, which
+  // is what the probe would find; runs of repeated texts skip the hash.
+  if (!text_ids_.empty()) {
+    const std::uint32_t previous = text_ids_.back();
+    if (texts_[previous].text == text) {
+      text_ids_.push_back(previous);
+      records_.push_back(record);
+      return;
+    }
+  }
   if (2 * (texts_.size() + 1) > slots_.size()) {
     grow();
   }

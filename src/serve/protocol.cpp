@@ -68,6 +68,47 @@ void FrameReader::feed(std::string_view bytes) {
   buffer_.append(bytes);
 }
 
+namespace {
+
+void append_string(std::string& out, std::string_view s) {
+  wire::append<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
+  out += s;
+}
+
+// FrameReader::next's numbered error messages and the decoders' throws,
+// out of line, so the frame-decode region below builds no string and
+// spells no throw.
+
+FrameError bad_version_error(std::uint8_t version) {
+  return FrameError{ErrorCode::kBadVersion,
+                    "unsupported protocol version " +
+                        std::to_string(static_cast<unsigned>(version)),
+                    0, 0};
+}
+
+FrameError oversized_frame_error(std::uint32_t payload_size,
+                                 std::uint64_t stream_id, std::uint32_t seq) {
+  return FrameError{ErrorCode::kOversizedFrame,
+                    "frame payload length " + std::to_string(payload_size) +
+                        " exceeds limit",
+                    stream_id, seq};
+}
+
+[[noreturn]] void implausibly_long(const char* what) {
+  throw ParseError(std::string("payload string implausibly long reading ") +
+                   what);
+}
+
+}  // namespace
+
+void BytesReader::truncated(const char* what) {
+  throw ParseError(std::string("payload truncated reading ") + what);
+}
+
+// bgl:hot-begin(frame-decode)
+// Every SUBMIT byte: framing checks and the payload CRC in next(), then
+// the session's decode of each record into its run. Errors leave as
+// status values from next() and through the out-of-line throws above.
 FrameReader::Status FrameReader::next(Frame& frame, FrameError& error) {
   if (desynced_) {
     error = FrameError{ErrorCode::kBadMagic,
@@ -87,12 +128,7 @@ FrameReader::Status FrameReader::next(Frame& frame, FrameError& error) {
   if (view.size() >= 5 &&
       static_cast<std::uint8_t>(view[4]) != kProtocolVersion) {
     desynced_ = true;
-    error = FrameError{
-        ErrorCode::kBadVersion,
-        "unsupported protocol version " +
-            std::to_string(static_cast<unsigned>(
-                static_cast<std::uint8_t>(view[4]))),
-        0, 0};
+    error = bad_version_error(static_cast<std::uint8_t>(view[4]));
     return Status::kDesync;
   }
   if (view.size() < kFrameHeaderSize) {
@@ -107,10 +143,7 @@ FrameReader::Status FrameReader::next(Frame& frame, FrameError& error) {
     // The length prefix itself is implausible: nothing downstream of it
     // can be trusted, so this is a desync, not a skippable frame.
     desynced_ = true;
-    error = FrameError{ErrorCode::kOversizedFrame,
-                       "frame payload length " + std::to_string(payload_size) +
-                           " exceeds limit",
-                       stream_id, seq};
+    error = oversized_frame_error(payload_size, stream_id, seq);
     return Status::kDesync;
   }
   if (view.size() < kFrameHeaderSize + payload_size) {
@@ -131,60 +164,20 @@ FrameReader::Status FrameReader::next(Frame& frame, FrameError& error) {
   return Status::kFrame;
 }
 
-// ---- BytesReader ---------------------------------------------------------
-
-void BytesReader::require(std::size_t n, const char* what) const {
-  if (bytes_.size() - pos_ < n) {
-    throw ParseError(std::string("payload truncated reading ") + what);
-  }
-}
-
 double BytesReader::read_double(const char* what) {
   return std::bit_cast<double>(read<std::uint64_t>(what));
-}
-
-std::string BytesReader::read_string(const char* what,
-                                     std::size_t max_length) {
-  return std::string(read_string_view(what, max_length));
 }
 
 std::string_view BytesReader::read_string_view(const char* what,
                                                std::size_t max_length) {
   const auto len = read<std::uint32_t>(what);
   if (len > max_length) {
-    throw ParseError(std::string("payload string implausibly long reading ") +
-                     what);
+    implausibly_long(what);
   }
   require(len, what);
   const std::string_view s(bytes_.data() + pos_, len);
   pos_ += len;
   return s;
-}
-
-// ---- record / warning codecs ---------------------------------------------
-
-namespace {
-void append_string(std::string& out, std::string_view s) {
-  wire::append<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-}  // namespace
-
-void encode_record(std::string& out, const RasRecord& rec,
-                   std::string_view entry) {
-  wire::append<std::int64_t>(out, rec.time);
-  wire::append<std::uint32_t>(out, rec.entry_data);
-  wire::append<std::uint32_t>(out, rec.job);
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.location.kind));
-  wire::append<std::uint16_t>(out, rec.location.rack);
-  wire::append<std::uint8_t>(out, rec.location.midplane);
-  wire::append<std::uint8_t>(out, rec.location.node_card);
-  wire::append<std::uint8_t>(out, rec.location.unit);
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.event_type));
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.facility));
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
-  wire::append<std::uint16_t>(out, rec.subcategory);
-  append_string(out, entry);
 }
 
 WireRecordView decode_record_view(BytesReader& in) {
@@ -211,6 +204,31 @@ WireRecordView decode_record_view(BytesReader& in) {
   rec.subcategory = in.read<std::uint16_t>("record subcategory");
   wr.entry = in.read_string_view("record entry text");
   return wr;
+}
+// bgl:hot-end
+
+std::string BytesReader::read_string(const char* what,
+                                     std::size_t max_length) {
+  return std::string(read_string_view(what, max_length));
+}
+
+// ---- record / warning codecs ---------------------------------------------
+
+void encode_record(std::string& out, const RasRecord& rec,
+                   std::string_view entry) {
+  wire::append<std::int64_t>(out, rec.time);
+  wire::append<std::uint32_t>(out, rec.entry_data);
+  wire::append<std::uint32_t>(out, rec.job);
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.location.kind));
+  wire::append<std::uint16_t>(out, rec.location.rack);
+  wire::append<std::uint8_t>(out, rec.location.midplane);
+  wire::append<std::uint8_t>(out, rec.location.node_card);
+  wire::append<std::uint8_t>(out, rec.location.unit);
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.event_type));
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.facility));
+  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
+  wire::append<std::uint16_t>(out, rec.subcategory);
+  append_string(out, entry);
 }
 
 void encode_warning(std::string& out, const Warning& warning) {

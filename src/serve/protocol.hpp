@@ -164,22 +164,6 @@ class BytesReader {
  public:
   explicit BytesReader(std::string_view bytes) : bytes_(bytes) {}
 
-  template <typename T>
-  T read(const char* what) {
-    require(sizeof(T), what);
-    T v;
-    std::size_t off = pos_;
-    pos_ += sizeof(T);
-    std::uint64_t raw = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      raw |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes_[off + i]))
-             << (8 * i);
-    }
-    v = static_cast<T>(raw);
-    return v;
-  }
-
   double read_double(const char* what);
   std::string read_string(const char* what,
                           std::size_t max_length = (1u << 16));
@@ -192,8 +176,34 @@ class BytesReader {
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
+  // bgl:hot-begin(frame-decode)
+  // Per field of every decoded record: a bounds check inlined into the
+  // decoder, then a little-endian load.
+  template <typename T>
+  T read(const char* what) {
+    require(sizeof(T), what);
+    const std::size_t off = pos_;
+    pos_ += sizeof(T);
+    std::uint64_t raw = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      raw |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes_[off + i]))
+             << (8 * i);
+    }
+    return static_cast<T>(raw);
+  }
+
  private:
-  void require(std::size_t n, const char* what) const;
+  void require(std::size_t n, const char* what) const {
+    if (bytes_.size() - pos_ < n) [[unlikely]] {
+      truncated(what);
+    }
+  }
+  // bgl:hot-end
+
+  /// Throws ParseError("payload truncated reading <what>"); out of line,
+  /// so each inlined check stays one compare and a branch.
+  [[noreturn]] static void truncated(const char* what);
 
   std::string_view bytes_;
   std::size_t pos_ = 0;

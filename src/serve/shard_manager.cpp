@@ -13,6 +13,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
 
@@ -43,14 +44,6 @@ std::string read_file_bytes(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// splitmix64 finalizer: decorrelates adjacent stream ids so shard load
-/// stays balanced even when clients number streams 0, 1, 2, ...
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 }  // namespace
 
 ShardManager::ShardManager(const ShardOptions& options,
@@ -73,6 +66,8 @@ ShardManager::ShardManager(const ShardOptions& options,
 
 std::size_t ShardManager::shard_of(std::uint64_t stream_id,
                                    std::size_t shard_count) {
+  // The splitmix64 finalizer decorrelates adjacent stream ids, so shard
+  // load stays balanced even when clients number streams 0, 1, 2, ...
   return static_cast<std::size_t>(mix64(stream_id) % shard_count);
 }
 

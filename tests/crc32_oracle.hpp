@@ -1,7 +1,8 @@
 // The bytewise CRC-32 loop the product shipped before its slicing-by-8
-// kernel (common/crc32.hpp): one lookup in its own 256-entry table per
-// input byte. Kept as the differential oracle for that kernel and as the
-// baseline of the perf_serve_submit smoke's same-process speed ratio.
+// and folded kernels (common/crc32.hpp): one lookup in its own 256-entry
+// table per input byte. Kept as the differential oracle for both kernels
+// and as the baseline of the perf_serve_submit smoke's same-process speed
+// ratios.
 #pragma once
 
 #include <array>

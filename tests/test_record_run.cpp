@@ -10,6 +10,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -29,25 +30,42 @@ RasRecord record_at(TimePoint time) {
 }
 
 TEST(RecordRunBuilderTest, EqualTextsShareOneIdNumberedByFirstUse) {
-  RecordRunBuilder builder;
-  const char* texts[] = {"b", "a", "b", "c", "a", "b"};
-  for (std::size_t i = 0; i < std::size(texts); ++i) {
-    builder.add(record_at(static_cast<TimePoint>(i)), texts[i]);
-  }
-  const RecordRun run = builder.run();
-  ASSERT_EQ(run.records.size(), 6u);
-  ASSERT_EQ(run.texts.size(), 3u);
-  EXPECT_EQ(std::vector<std::uint32_t>(run.text_ids.begin(),
-                                       run.text_ids.end()),
-            (std::vector<std::uint32_t>{0, 1, 0, 2, 1, 0}));
-  EXPECT_EQ(run.texts[0].text, "b");
-  EXPECT_EQ(run.texts[1].text, "a");
-  EXPECT_EQ(run.texts[2].text, "c");
-  for (const RunText& text : run.texts) {
-    EXPECT_EQ(text.hash, stable_hash64(text.text));
-  }
-  for (std::size_t i = 0; i < run.records.size(); ++i) {
-    EXPECT_EQ(run.records[i].time, static_cast<TimePoint>(i));
+  struct Case {
+    std::vector<std::string_view> texts;
+    std::vector<std::uint32_t> ids;
+    std::vector<std::string_view> distinct;
+  };
+  // Equal texts in a row take the previous record's id without a probe;
+  // the ids must be the ones the probe gives.
+  const Case cases[] = {
+      {{"b", "a", "b", "c", "a", "b"}, {0, 1, 0, 2, 1, 0}, {"b", "a", "c"}},
+      {{"x", "x", "x", "y", "y", "x", "x"},
+       {0, 0, 0, 1, 1, 0, 0},
+       {"x", "y"}},
+      {{"a", "b", "a", "b", "a", "b"}, {0, 1, 0, 1, 0, 1}, {"a", "b"}},
+      {{"", "", "e", "", ""}, {0, 0, 1, 0, 0}, {"", "e"}},
+      // Same length and first byte as the previous text, not equal.
+      {{"ab", "ac", "ac", "ab"}, {0, 1, 1, 0}, {"ab", "ac"}},
+  };
+  for (const Case& c : cases) {
+    RecordRunBuilder builder;
+    for (std::size_t i = 0; i < c.texts.size(); ++i) {
+      builder.add(record_at(static_cast<TimePoint>(i)), c.texts[i]);
+    }
+    const RecordRun run = builder.run();
+    ASSERT_EQ(run.records.size(), c.texts.size());
+    EXPECT_EQ(std::vector<std::uint32_t>(run.text_ids.begin(),
+                                         run.text_ids.end()),
+              c.ids);
+    ASSERT_EQ(run.texts.size(), c.distinct.size());
+    for (std::size_t id = 0; id < run.texts.size(); ++id) {
+      EXPECT_EQ(run.texts[id].text, c.distinct[id]);
+      EXPECT_EQ(run.texts[id].hash, stable_hash64(c.distinct[id]));
+    }
+    for (std::size_t i = 0; i < run.records.size(); ++i) {
+      EXPECT_EQ(run.records[i].time, static_cast<TimePoint>(i));
+      EXPECT_EQ(run.texts[run.text_ids[i]].text, c.texts[i]);
+    }
   }
 }
 
@@ -76,6 +94,24 @@ TEST(RecordRunBuilderTest, ClearForgetsTextsAcrossGrowth) {
   builder.add(RasRecord{}, "text 7");
   EXPECT_EQ(builder.run().texts.size(), 1u);
   EXPECT_EQ(builder.run().text_ids[0], 0u);
+  // The first record after clear() repeats the last text before it, in
+  // a new buffer as a new frame's payload would be: it is the run's
+  // first text, aliasing the new bytes, not the old.
+  const std::string before = "repeated";
+  const std::string after = "repeated";
+  builder.clear();
+  builder.add(RasRecord{}, "other");
+  builder.add(RasRecord{}, before);
+  builder.clear();
+  builder.add(RasRecord{}, after);
+  builder.add(RasRecord{}, after);
+  const RecordRun run = builder.run();
+  ASSERT_EQ(run.texts.size(), 1u);
+  EXPECT_EQ(run.texts[0].text.data(), after.data());
+  EXPECT_EQ(run.texts[0].hash, stable_hash64(after));
+  EXPECT_EQ(std::vector<std::uint32_t>(run.text_ids.begin(),
+                                       run.text_ids.end()),
+            (std::vector<std::uint32_t>{0, 0}));
 }
 
 // ---- run semantics -------------------------------------------------------

@@ -93,6 +93,12 @@ TEST(ShardRoutingTest, DeterministicAndSpread) {
   }
   // splitmix64 must spread even sequential ids across all shards.
   EXPECT_EQ(hit.size(), 4u);
+  // A restored stream lives on the shard this picks, so the routing is
+  // pinned, not just stable within one build.
+  const std::size_t pinned[] = {3, 1, 2, 1, 2, 2, 0, 3};
+  for (std::uint64_t id = 0; id < std::size(pinned); ++id) {
+    EXPECT_EQ(ShardManager::shard_of(id, 4), pinned[id]) << "stream " << id;
+  }
 }
 
 TEST(ShardManagerTest, BackpressureBoundsTheQueue) {

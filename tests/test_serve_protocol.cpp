@@ -30,10 +30,16 @@ TEST(Crc32Test, SeedChainsMultiPartComputations) {
   EXPECT_EQ(part, whole);
 }
 
-TEST(Crc32Test, SlicingKernelEqualsBytewiseOracle) {
-  // Every length 0..4096 at 8 start alignments, each CRC seeding the
-  // next, so a wrong table or a mishandled head or tail shows up.
-  std::string bytes(4096 + 8, '\0');
+using Crc32Kernel = std::uint32_t (*)(std::string_view, std::uint32_t);
+
+/// Runs `kernel` against the bytewise oracle at 8 start alignments over
+/// every length 0..4096, then 64 KiB - 15 .. 64 KiB + 15 and 1 MiB + 7,
+/// each CRC seeding the next, so a wrong table or constant, a mishandled
+/// head or tail, or a slip in the folded kernel's lanes or its handover
+/// to the slicing tail shows up.
+void expect_kernel_equals_oracle(Crc32Kernel kernel) {
+  constexpr std::size_t kMaxLength = (1u << 20) + 7;
+  std::string bytes(kMaxLength + 8, '\0');
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   for (char& c : bytes) {
     x ^= x << 13;
@@ -41,17 +47,45 @@ TEST(Crc32Test, SlicingKernelEqualsBytewiseOracle) {
     x ^= x << 17;
     c = static_cast<char>(x);
   }
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 4096; ++length) {
+    lengths.push_back(length);
+  }
+  for (std::size_t length = (64u << 10) - 15; length <= (64u << 10) + 15;
+       ++length) {
+    lengths.push_back(length);
+  }
+  lengths.push_back(kMaxLength);
   std::uint32_t fast = 0;
   std::uint32_t slow = 0;
   for (std::size_t align = 0; align < 8; ++align) {
-    for (std::size_t length = 0; length <= 4096; ++length) {
+    for (const std::size_t length : lengths) {
       const std::string_view data(bytes.data() + align, length);
-      fast = crc32(data, fast);
+      fast = kernel(data, fast);
       slow = oracle::crc32_bytewise(data, slow);
       ASSERT_EQ(fast, slow) << "length " << length << " alignment " << align;
     }
   }
+}
+
+TEST(Crc32Test, SlicingKernelEqualsBytewiseOracle) {
+  expect_kernel_equals_oracle(&crc32_slicing);
   EXPECT_EQ(oracle::crc32_bytewise("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32Test, FoldedKernelEqualsBytewiseOracle) {
+  if (!crc32_folded_supported()) {
+    GTEST_SKIP() << "no folded kernel here: this CPU lacks PCLMULQDQ and "
+                    "SSE4.1, or the build is not x86-64";
+  }
+  expect_kernel_equals_oracle(&crc32_folded);
+}
+
+TEST(Crc32Test, SelectedKernelEqualsBytewiseOracle) {
+  // Whichever kernel crc32() picked on this CPU.
+  expect_kernel_equals_oracle([](std::string_view data, std::uint32_t seed) {
+    return crc32(data, seed);
+  });
 }
 
 // ---- framing -------------------------------------------------------------
@@ -224,12 +258,52 @@ TEST(CodecTest, RecordRoundtrip) {
 }
 
 TEST(CodecTest, TruncatedRecordThrowsParseError) {
+  // Every proper prefix: a cut inside any fixed field, the text length
+  // or the text fails the decode with a ParseError, never a read past it.
   std::string bytes;
   encode_record(bytes, sample_record(), "entry");
-  for (const std::size_t keep : {0u, 1u, 8u, 20u}) {
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
     BytesReader in(std::string_view(bytes).substr(0, keep));
     EXPECT_THROW(decode_record_view(in), ParseError) << "kept " << keep;
   }
+  BytesReader whole(bytes);
+  EXPECT_EQ(decode_record_view(whole).entry, "entry");
+}
+
+/// The ParseError message of decoding `bytes` as one record, or "" if
+/// it decodes.
+std::string record_decode_error(std::string_view bytes) {
+  BytesReader in(bytes);
+  try {
+    decode_record_view(in);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CodecTest, BadEntryTextLengthNamesTheField) {
+  std::string bytes;
+  encode_record(bytes, sample_record(), "entry");
+  const std::size_t length_at = bytes.size() - 5 - 4;
+  const auto with_length = [&](std::uint32_t length) {
+    std::string out = bytes;
+    for (int b = 0; b < 4; ++b) {
+      out[length_at + b] = static_cast<char>((length >> (8 * b)) & 0xff);
+    }
+    return out;
+  };
+  // Above the 64 KiB bound, whatever follows.
+  EXPECT_EQ(record_decode_error(with_length(65537) + std::string(70000, 'x')),
+            "payload string implausibly long reading record entry text");
+  // Within the bound, but longer than the bytes left.
+  EXPECT_EQ(record_decode_error(with_length(6)),
+            "payload truncated reading record entry text");
+  EXPECT_EQ(record_decode_error(with_length(5)), "");
+  // The bound itself is a legal length.
+  std::string longest;
+  encode_record(longest, sample_record(), std::string(65536, 't'));
+  EXPECT_EQ(record_decode_error(longest), "");
 }
 
 TEST(CodecTest, WarningRoundtripPreservesEveryField) {

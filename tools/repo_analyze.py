@@ -115,6 +115,7 @@ MODULE_DAG: dict[str, list[str]] = {
 # benchmarks depend on; keeping them listed here means deleting the
 # markers fails the analyzer instead of silently disarming it.
 REQUIRED_HOT_FILES = (
+    "src/common/crc32.cpp",
     "src/raslog/fast_io.cpp",
     "src/raslog/fast_io.hpp",
     "src/simgen/stream.cpp",
@@ -122,6 +123,7 @@ REQUIRED_HOT_FILES = (
     "src/mining/rules.cpp",
     "src/preprocess/phase1.cpp",
     "src/core/online.cpp",
+    "src/serve/protocol.cpp",
     "src/serve/session.cpp",
     "src/serve/shard_manager.cpp",
     "src/serve/server.cpp",
