@@ -8,10 +8,9 @@
 // sorted vectors.
 //
 // DynamicBitset is the runtime-width companion used for vertical
-// transaction indexes (item -> bitset over transaction ids) and for rule
-// candidate masks (item -> bitset over rule indices), where the width is
-// only known once the database or rule set exists. An empty bitset acts
-// as all-zeros of any width, so sparse column arrays stay cheap.
+// transaction indexes (item -> bitset over transaction ids), where the
+// width is only known once the database exists. An empty bitset acts as
+// all-zeros of any width, so sparse column arrays stay cheap.
 #pragma once
 
 #include <bit>

@@ -1,15 +1,17 @@
 #include "mining/rules.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/binary.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/table.hpp"
 #include "mining/apriori.hpp"
 #include "taxonomy/catalog.hpp"
@@ -110,7 +112,7 @@ RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
   // when an earlier kept rule's body is a subset of its own. A body of k
   // items probes its 2^k - 1 sub-bodies (15 at the default
   // max_itemset_size) unless a scan of the kept rules is cheaper or it is
-  // unencodable; those and the empty body go to the always-checked mask.
+  // unencodable.
   BodySet kept_bodies(rules_.size());
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const Itemset& body = rules_[r].body;
@@ -126,81 +128,121 @@ RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
     if (covered) {
       continue;
     }
-    const std::size_t slot = index_rules_.size();
     index_rules_.push_back(r);
-    bodies_.push_back(encodable ? bits : ItemBitset{});
-    if (body.empty() || !encodable) {
-      always_check_.set(slot);
-    } else {
+    if (encodable && !body.empty()) {
       kept_bodies.insert(bits);
-      bits.for_each_set(
-          [&](std::size_t bit) { rules_by_item_[bit].set(slot); });
     }
+    // Only body items enter a prediction window, so the counting path
+    // needs no other body.
+    const bool counted =
+        encodable && std::none_of(body.begin(), body.end(), is_label);
+    body_sizes_.push_back(counted ? static_cast<std::uint8_t>(bits.count())
+                                  : kUncounted);
     if (body.empty()) {
       break;  // matches every window, so no later rule is reachable
     }
   }
+  // Posting lists: count each bit's slots, then place them in slot order.
+  const auto for_each_posting = [&](auto&& fn) {
+    for (std::size_t slot = 0; slot < index_rules_.size(); ++slot) {
+      ItemBitset bits;
+      if (body_sizes_[slot] != kUncounted &&
+          try_encode_bitset(rules_[index_rules_[slot]].body, &bits)) {
+        bits.for_each_set([&](std::size_t bit) { fn(bit, slot); });
+      }
+    }
+  };
+  for_each_posting([&](std::size_t bit, std::size_t) {
+    ++posting_offsets_[bit + 1];
+  });
+  for (std::size_t bit = 0; bit < kItemBodyBits; ++bit) {
+    posting_offsets_[bit + 1] += posting_offsets_[bit];
+  }
+  postings_.resize(posting_offsets_.back());
+  std::vector<std::uint32_t> next(posting_offsets_.begin(),
+                                  posting_offsets_.end() - 1);
+  for_each_posting([&](std::size_t bit, std::size_t slot) {
+    postings_[next[bit]++] = static_cast<std::uint32_t>(slot);
+  });
 }
 
-// bgl:hot-begin(rule-matcher)
-// Matching runs once per forwarded record (DESIGN §6), so it must not
-// allocate: instead of a candidate bitset (193 words on servebench's
-// DC-Prophet model) the walk ORs the observed items' masks one word at a
-// time and stops in the word holding the first hit.
-const Rule* RuleSet::match_candidates(const ItemBitset& observed,
-                                      const Itemset* observed_items) const {
-  // Masks of the observed items that some kept body uses; the walk ends
-  // with the longest of them and the always-checked one.
-  std::array<const DynamicBitset*, ItemBitset::kBits> masks;
-  std::size_t mask_count = 0;
-  std::size_t words = always_check_.word_count();
-  observed.for_each_set([&](std::size_t bit) {
-    const DynamicBitset& mask = rules_by_item_[bit];
-    if (mask.word_count() != 0) {
-      masks[mask_count++] = &mask;
-      words = std::max(words, mask.word_count());
-    }
-  });
-  for (std::size_t w = 0; w < words; ++w) {
-    // Candidates: kept rules sharing an item with the window (any
-    // matching non-empty body must), plus the always-checked ones.
-    std::uint64_t candidates = always_check_.word(w);
-    for (std::size_t m = 0; m < mask_count; ++m) {
-      candidates |= masks[m]->word(w);
-    }
-    // Slots ascend in confidence order, so the first subset hit is the
-    // best match.
-    for (; candidates != 0; candidates &= candidates - 1) {
-      const std::size_t slot =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
-      const Rule& rule = rules_[index_rules_[slot]];
-      const bool hit =
-          !always_check_.test(slot) ? bodies_[slot].is_subset_of(observed)
-          : observed_items != nullptr ? is_subset(rule.body, *observed_items)
-                                      : rule.body.empty();
-      if (hit) {
-        return &rule;
-      }
+const Rule* RuleSet::best_match(const Itemset& observed) const {
+  for (const std::size_t r : index_rules_) {
+    if (is_subset(rules_[r].body, observed)) {
+      return &rules_[r];  // slots ascend in confidence order
     }
   }
   return nullptr;
 }
 
-const Rule* RuleSet::best_match(const Itemset& observed) const {
-  ItemBitset bits;
-  for (const Item item : observed) {
-    const std::size_t bit = item_bit(item);
-    if (bit != kNoItemBit) {
-      bits.set(bit);
+void RuleMatch::bind(const RuleSet& rules) {
+  rules_ = &rules;
+  const std::size_t slots = rules.reachable_size();
+  counts_.assign(slots, 0);
+  satisfied_.assign((slots + 63) / 64, 0);
+  summary_.assign((satisfied_.size() + 63) / 64, 0);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (rules.body_sizes_[slot] == 0) {
+      mark(slot);  // the empty body holds in every window
     }
   }
-  // Unencodable observed items only matter to always-checked rules, which
-  // get the full itemset for their naive subset test.
-  return match_candidates(bits, &observed);
 }
 
-const Rule* RuleSet::best_match(const ItemBitset& observed) const {
-  return match_candidates(observed, nullptr);
+// bgl:hot-begin(rule-matcher)
+// Matching runs once per forwarded record (DESIGN §6), but the window's
+// item set changes on few of them (about one in eight on servebench's
+// DC-Prophet streams). So only a change walks a posting list, and a
+// record costs two countr_zeros.
+void RuleMatch::mark(std::size_t slot) {
+  const std::size_t word = slot / 64;
+  satisfied_[word] |= std::uint64_t{1} << (slot % 64);
+  summary_[word / 64] |= std::uint64_t{1} << (word % 64);
+}
+
+void RuleMatch::unmark(std::size_t slot) {
+  const std::size_t word = slot / 64;
+  satisfied_[word] &= ~(std::uint64_t{1} << (slot % 64));
+  if (satisfied_[word] == 0) {
+    summary_[word / 64] &= ~(std::uint64_t{1} << (word % 64));
+  }
+}
+
+// Both walks read the sizes and counts through locals: a write through a
+// uint8_t may alias anything, so members would be reloaded per entry.
+void RuleMatch::add(std::size_t bit) {
+  BGL_CHECK_RANGE(bit, kItemBodyBits);
+  const std::uint8_t* const sizes = rules_->body_sizes_.data();
+  std::uint8_t* const counts = counts_.data();
+  for (const std::uint32_t slot : rules_->postings(bit)) {
+    if (++counts[slot] == sizes[slot]) {
+      mark(slot);
+    }
+  }
+}
+
+void RuleMatch::remove(std::size_t bit) {
+  BGL_CHECK_RANGE(bit, kItemBodyBits);
+  const std::uint8_t* const sizes = rules_->body_sizes_.data();
+  std::uint8_t* const counts = counts_.data();
+  for (const std::uint32_t slot : rules_->postings(bit)) {
+    if (counts[slot]-- == sizes[slot]) {
+      unmark(slot);
+    }
+  }
+}
+
+const Rule* RuleMatch::best() const {
+  for (std::size_t i = 0; i < summary_.size(); ++i) {
+    if (summary_[i] != 0) {
+      const std::size_t word =
+          i * 64 + static_cast<std::size_t>(std::countr_zero(summary_[i]));
+      const std::size_t slot =
+          word * 64 +
+          static_cast<std::size_t>(std::countr_zero(satisfied_[word]));
+      return &rules_->rules_[rules_->index_rules_[slot]];
+    }
+  }
+  return nullptr;
 }
 // bgl:hot-end
 
@@ -329,10 +371,154 @@ void save_rules(std::ostream& os, const RuleSet& rules) {
 
 namespace {
 
-// The sets load_rules has returned, while something still holds them.
+// A rule body/head is bounded by the item universe; anything larger means
+// a corrupt stream, not a big model.
+constexpr std::uint32_t kMaxRuleItems = 1u << 16;
+// A rule's support, confidence, body count and hit count.
+constexpr std::size_t kRuleFixedBytes = 32;
+
+// Appends the next `n` bytes of `is` to `out` and returns how many the
+// stream had. `out` grows only by those.
+std::size_t append_bytes(std::istream& is, std::string& out, std::size_t n) {
+  const std::size_t old_size = out.size();
+  out.resize(old_size + n);
+  is.read(out.data() + old_size, static_cast<std::streamsize>(n));
+  const auto got = static_cast<std::size_t>(is.gcount());
+  out.resize(old_size + got);
+  return got;
+}
+
+[[noreturn]] void throw_truncated(const char* what) {
+  throw ParseError(std::string("binary input truncated reading ") + what);
+}
+
+// Reads a save_rules section after its tag, as it is on the wire: the
+// rule count, then per rule the body size, the body, the head size, and
+// the heads with the four fixed fields. Throws what wire::read would.
+std::string read_section(std::istream& is) {
+  std::string bytes;
+  if (append_bytes(is, bytes, 8) != 8) {
+    throw_truncated("rule count");
+  }
+  const auto count = wire::decode<std::uint64_t>(bytes.data());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (append_bytes(is, bytes, 4) != 4) {
+      throw_truncated("rule body size");
+    }
+    const auto body_size =
+        wire::decode<std::uint32_t>(bytes.data() + bytes.size() - 4);
+    if (body_size > kMaxRuleItems) {
+      throw ParseError("rule body implausibly large");
+    }
+    if (append_bytes(is, bytes, 4 * std::size_t{body_size}) !=
+        4 * std::size_t{body_size}) {
+      throw_truncated("rule body item");
+    }
+    if (append_bytes(is, bytes, 4) != 4) {
+      throw_truncated("rule head size");
+    }
+    const auto head_size =
+        wire::decode<std::uint32_t>(bytes.data() + bytes.size() - 4);
+    if (head_size > kMaxRuleItems) {
+      throw ParseError("rule head implausibly large");
+    }
+    const std::size_t heads = 2 * std::size_t{head_size};
+    const std::size_t got = append_bytes(is, bytes, heads + kRuleFixedBytes);
+    if (got != heads + kRuleFixedBytes) {
+      throw_truncated(got < heads        ? "rule head"
+                      : got < heads + 8  ? "rule support"
+                      : got < heads + 16 ? "rule confidence"
+                      : got < heads + 24 ? "rule body count"
+                                         : "rule hit count");
+    }
+  }
+  return bytes;
+}
+
+// Walks a section read_section returned; every size in it is in bounds.
+class SectionCursor {
+ public:
+  explicit SectionCursor(std::string_view bytes) : p_(bytes.data()) {}
+
+  template <typename T>
+  T next() {
+    const T value = wire::decode<T>(p_);
+    p_ += sizeof(T);
+    return value;
+  }
+
+ private:
+  const char* p_;
+};
+
+// True if `set` is what `section` decodes to, field by field and doubles
+// by bit pattern, so no other section shares its set. Allocates nothing.
+bool holds_section(const RuleSet& set, std::string_view section) {
+  SectionCursor in(section);
+  if (in.next<std::uint64_t>() != set.size()) {
+    return false;
+  }
+  for (const Rule& rule : set.rules()) {
+    if (in.next<std::uint32_t>() != rule.body.size()) {
+      return false;
+    }
+    for (const Item item : rule.body) {
+      if (in.next<Item>() != item) {
+        return false;
+      }
+    }
+    if (in.next<std::uint32_t>() != rule.heads.size()) {
+      return false;
+    }
+    for (const SubcategoryId head : rule.heads) {
+      if (in.next<SubcategoryId>() != head) {
+        return false;
+      }
+    }
+    if (in.next<std::uint64_t>() !=
+            std::bit_cast<std::uint64_t>(rule.support) ||
+        in.next<std::uint64_t>() !=
+            std::bit_cast<std::uint64_t>(rule.confidence) ||
+        in.next<std::uint64_t>() != rule.body_count ||
+        in.next<std::uint64_t>() != rule.hit_count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The rules of a section read_section returned.
+std::vector<Rule> decode_rules(std::string_view section) {
+  SectionCursor in(section);
+  std::vector<Rule> rules(in.next<std::uint64_t>());
+  for (Rule& rule : rules) {
+    rule.body.resize(in.next<std::uint32_t>());
+    for (Item& item : rule.body) {
+      item = in.next<Item>();
+    }
+    rule.heads.resize(in.next<std::uint32_t>());
+    for (SubcategoryId& head : rule.heads) {
+      head = in.next<SubcategoryId>();
+    }
+    rule.support = std::bit_cast<double>(in.next<std::uint64_t>());
+    rule.confidence = std::bit_cast<double>(in.next<std::uint64_t>());
+    // Matching checks every confidence it serves, and the sort needs a
+    // strict weak order: a NaN or out-of-range value is a corrupt model.
+    if (!(rule.support >= 0.0 && rule.support <= 1.0) ||
+        !(rule.confidence >= 0.0 && rule.confidence <= 1.0)) {
+      throw ParseError("rule support or confidence outside [0, 1]");
+    }
+    rule.body_count = in.next<std::uint64_t>();
+    rule.hit_count = in.next<std::uint64_t>();
+  }
+  return rules;
+}
+
+// The sets load_rules has built, while something still holds them, by
+// stable_hash64 of the section each was built from.
 struct LoadedSets {
   std::mutex mutex;
-  std::vector<std::weak_ptr<const RuleSet>> sets;
+  std::unordered_multimap<std::uint64_t, std::weak_ptr<const RuleSet>> sets;
 };
 
 LoadedSets& loaded_sets() {
@@ -344,60 +530,29 @@ LoadedSets& loaded_sets() {
 
 std::shared_ptr<const RuleSet> load_rules(std::istream& is) {
   wire::expect_tag(is, "BGLRULE1");
-  const auto count = wire::read<std::uint64_t>(is, "rule count");
-  // A rule body/head is bounded by the item universe; anything larger
-  // means a corrupt stream, not a big model.
-  constexpr std::uint32_t kMaxRuleItems = 1u << 16;
-  std::vector<Rule> rules;  // no reserve: the count is unchecked input
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Rule rule;
-    const auto body_size = wire::read<std::uint32_t>(is, "rule body size");
-    if (body_size > kMaxRuleItems) {
-      throw ParseError("rule body implausibly large");
-    }
-    rule.body.reserve(body_size);
-    for (std::uint32_t b = 0; b < body_size; ++b) {
-      rule.body.push_back(wire::read<Item>(is, "rule body item"));
-    }
-    const auto head_size = wire::read<std::uint32_t>(is, "rule head size");
-    if (head_size > kMaxRuleItems) {
-      throw ParseError("rule head implausibly large");
-    }
-    rule.heads.reserve(head_size);
-    for (std::uint32_t h = 0; h < head_size; ++h) {
-      rule.heads.push_back(wire::read<SubcategoryId>(is, "rule head"));
-    }
-    rule.support = wire::read_double(is, "rule support");
-    rule.confidence = wire::read_double(is, "rule confidence");
-    // Matching checks every confidence it serves, and the sort needs a
-    // strict weak order: a NaN or out-of-range value is a corrupt model.
-    if (!(rule.support >= 0.0 && rule.support <= 1.0) ||
-        !(rule.confidence >= 0.0 && rule.confidence <= 1.0)) {
-      throw ParseError("rule support or confidence outside [0, 1]");
-    }
-    rule.body_count = wire::read<std::uint64_t>(is, "rule body count");
-    rule.hit_count = wire::read<std::uint64_t>(is, "rule hit count");
-    rules.push_back(std::move(rule));
-  }
-  // A live set's rules() are in confidence order, the order save_rules
-  // wrote, so a load of the same model compares equal as parsed. Building
-  // under the lock makes concurrent loads of one model build its index
-  // once.
+  std::string section = read_section(is);
+  const std::uint64_t key = stable_hash64(section);
+  // Building under the lock makes concurrent loads of one model build its
+  // index once.
   LoadedSets& loaded = loaded_sets();
   const std::lock_guard lock(loaded.mutex);
-  std::erase_if(loaded.sets, [](const std::weak_ptr<const RuleSet>& set) {
-    return set.expired();
+  std::erase_if(loaded.sets, [](const auto& entry) {
+    return entry.second.expired();
   });
-  for (const std::weak_ptr<const RuleSet>& weak : loaded.sets) {
-    std::shared_ptr<const RuleSet> set = weak.lock();
-    if (set != nullptr && set->rules() == rules) {
+  const auto [first, last] = loaded.sets.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    std::shared_ptr<const RuleSet> set = it->second.lock();
+    if (set != nullptr && holds_section(*set, section)) {
       return set;
     }
   }
-  // The constructor sorts (a saved list is in order already) and builds
-  // the matching index.
+  // A saved list is in confidence order already; the constructor's sort
+  // keeps it, so the set's rules() decode to the section again. The
+  // section's bytes go before the index is built.
+  std::vector<Rule> rules = decode_rules(section);
+  section = std::string();
   auto set = std::make_shared<const RuleSet>(std::move(rules));
-  loaded.sets.push_back(set);
+  loaded.sets.emplace(key, set);
   return set;
 }
 

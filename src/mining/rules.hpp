@@ -10,12 +10,14 @@
 // the member confidences.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/bitset.hpp"
+#include "mining/items.hpp"
 #include "mining/transaction.hpp"
 
 namespace bglpred {
@@ -65,15 +67,14 @@ struct RuleOptions {
 /// An ordered rule collection with matching support.
 ///
 /// A rule whose body contains an earlier rule's body can never be the
-/// best match, so the matching index covers the reachable rules only;
-/// rules() keeps the full list, which save_rules writes. The index holds
-/// each kept body as an ItemBitset plus an inverted item -> kept-rule
-/// bitset. best_match ORs the observed items' masks one 64-bit word at a
-/// time and returns at the first subset hit, allocating nothing, so one
-/// RuleSet can serve any number of readers (load_rules shares it between
-/// every stream that loads the same model). Bodies with items outside the
-/// fixed bitset universe (synthetic tests only) and the empty body take an
-/// always-checked naive path so results stay identical.
+/// best match, so the matching index covers the reachable (kept) rules
+/// only; rules() keeps the full list, which save_rules writes. The index
+/// holds, per kept slot in confidence order, the number of distinct items
+/// in its body, and per body-item bit the slots whose body holds it (a
+/// posting list). A stream matches its window through a RuleMatch bound
+/// to the set; the set itself is immutable, so one RuleSet serves any
+/// number of streams (load_rules shares it between every stream that
+/// loads the same model).
 class RuleSet {
  public:
   RuleSet() = default;
@@ -91,28 +92,81 @@ class RuleSet {
   /// Returns the highest-confidence rule whose body is a subset of
   /// `observed` (sorted body items of the current window), or nullptr if
   /// none matches (Step 6: "select the rule with the highest confidence").
+  /// A scan of the kept rules in confidence order: the path for windows
+  /// holding items outside the bitset universe (synthetic inputs only)
+  /// and for tests. A stream's window uses a RuleMatch.
   const Rule* best_match(const Itemset& observed) const;
 
-  /// Bitset fast path for callers that maintain the observed set
-  /// incrementally (RulePredictor). Only valid when every observed item
-  /// is inside the fixed bitset universe.
-  const Rule* best_match(const ItemBitset& observed) const;
-
   /// Reference implementation: linear scan of the full list in confidence
-  /// order. Kept as the differential-test oracle for the indexed matcher.
+  /// order. Kept as the differential-test oracle for the matchers.
   const Rule* best_match_naive(const Itemset& observed) const;
 
  private:
-  const Rule* match_candidates(const ItemBitset& observed,
-                               const Itemset* observed_items) const;
+  friend class RuleMatch;
+
+  /// Body size of a slot the counting path never satisfies: its body
+  /// holds a label item or an item outside the universe. No window of
+  /// body items reaches it (at most kItemBodyBits are live).
+  static constexpr std::uint8_t kUncounted = 0xff;
+
+  /// The kept slots whose body holds body-item bit `bit`.
+  std::span<const std::uint32_t> postings(std::size_t bit) const {
+    return {postings_.data() + posting_offsets_[bit],
+            postings_.data() + posting_offsets_[bit + 1]};
+  }
 
   std::vector<Rule> rules_;
   // Matching index over the reachable rules, in confidence order.
-  std::vector<std::size_t> index_rules_;      ///< slot -> index in rules_
-  std::vector<ItemBitset> bodies_;            ///< slot -> encoded body
-  std::vector<DynamicBitset> rules_by_item_ =
-      std::vector<DynamicBitset>(ItemBitset::kBits);  ///< item bit -> slots
-  DynamicBitset always_check_;  ///< slots needing the naive subset test
+  std::vector<std::size_t> index_rules_;  ///< slot -> index in rules_
+  /// slot -> distinct body items (at most kItemBodyBits), or kUncounted
+  std::vector<std::uint8_t> body_sizes_;
+  /// Body-item bit b's slots are postings_[offsets[b], offsets[b + 1]).
+  std::vector<std::uint32_t> posting_offsets_ =
+      std::vector<std::uint32_t>(kItemBodyBits + 1, 0);
+  std::vector<std::uint32_t> postings_;
+};
+
+/// A stream's matching state over one RuleSet: a counting (TREAT-style)
+/// matcher. It holds, per kept slot, how many of the slot's body items
+/// the window holds, and a bitset of the slots whose whole body it holds,
+/// with one summary bit per bitset word. The caller reports each change
+/// of the window's item set: add(bit) when an item's window count goes
+/// 0 -> 1, remove(bit) when it goes 1 -> 0; each walks that item's
+/// posting list. best() is the first satisfied slot, which is the first
+/// in confidence order: two countr_zeros. add, remove and best allocate
+/// nothing.
+///
+/// Bits are item_bit()s of body items, below kItemBodyBits: a prediction
+/// window holds non-fatal items only. A body holding a label item or an
+/// item outside the universe is never satisfied here, so a window that
+/// holds an item outside the universe must be matched with
+/// RuleSet::best_match(const Itemset&) instead; then no such body can be
+/// a subset of a window this state tracks, and best() is exact.
+class RuleMatch {
+ public:
+  /// Binds to `rules` with an empty window; see bind().
+  explicit RuleMatch(const RuleSet& rules) { bind(rules); }
+
+  /// Sizes the state for `rules` and empties the window: only an empty
+  /// body is satisfied. `rules` must outlive the binding, in place.
+  void bind(const RuleSet& rules);
+
+  /// The window gained body-item bit `bit` (its count went 0 -> 1).
+  void add(std::size_t bit);
+  /// The window lost body-item bit `bit` (its count went 1 -> 0).
+  void remove(std::size_t bit);
+  /// The highest-confidence rule whose body the window holds, or nullptr:
+  /// RuleSet::best_match_naive of the window's items.
+  const Rule* best() const;
+
+ private:
+  void mark(std::size_t slot);
+  void unmark(std::size_t slot);
+
+  const RuleSet* rules_ = nullptr;
+  std::vector<std::uint8_t> counts_;       ///< slot -> live body items
+  std::vector<std::uint64_t> satisfied_;   ///< slots whose body is live
+  std::vector<std::uint64_t> summary_;     ///< satisfied_ words != 0
 };
 
 /// Merges rules with identical bodies into multi-head rules, summing
@@ -131,17 +185,19 @@ RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options);
 /// Binary serialization of a mined rule set ("BGLRULE1" section;
 /// common/binary.hpp wire format). Only the rule list travels — the
 /// matching index is deterministically rebuilt on load, and the
-/// confidence order is preserved, so a loaded set matches (and
-/// best_match-es) byte-identically to the saved one.
+/// confidence order is preserved, so a loaded set matches the saved one
+/// rule for rule.
 void save_rules(std::ostream& os, const RuleSet& rules);
 
-/// Parses a save_rules section. Loads of equal rule lists share one set:
-/// the parsed list is compared field by field with every set a previous
-/// load returned that is still held, and a match is returned as is, so
-/// the matching index is built once however many streams load the model.
-/// Otherwise a new set is built and returned. Thread-safe. Throws
-/// ParseError on a malformed or truncated section, and on a rule whose
-/// support or confidence is not a finite value in [0, 1].
+/// Parses a save_rules section. Loads of one section share one set: the
+/// section is read into one byte buffer, and a set a previous load built
+/// from bytes with the same stable_hash64 that is still held is confirmed
+/// field by field (doubles by bit pattern) and returned as is, so rules
+/// are decoded and the matching index built once however many streams
+/// load the model. Otherwise a new set is built, registered and returned.
+/// Thread-safe. Throws ParseError on a malformed or truncated section, and
+/// on a rule whose support or confidence is not a finite value in [0, 1];
+/// a section that throws registers nothing.
 std::shared_ptr<const RuleSet> load_rules(std::istream& is);
 
 }  // namespace bglpred

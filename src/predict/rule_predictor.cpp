@@ -16,11 +16,21 @@ const std::shared_ptr<const RuleSet>& no_rules() {
   return empty;
 }
 
+// The bit match_ counts `item` under, or kNoItemBit for an item it does
+// not track: one outside the universe, or a label item, which only a
+// crafted checkpoint can put in the window.
+std::size_t counted_bit(Item item) {
+  return is_label(item) ? kNoItemBit : item_bit(item);
+}
+
 }  // namespace
 
 RulePredictor::RulePredictor(const PredictionConfig& config,
                              const RulePredictorOptions& options)
-    : config_(config), options_(options), rules_(no_rules()) {
+    : config_(config),
+      options_(options),
+      rules_(no_rules()),
+      match_(*rules_) {
   BGL_REQUIRE(config.window > config.lead,
               "prediction window must exceed the lead time");
   BGL_REQUIRE(options.rule_generation_window > 0,
@@ -37,26 +47,25 @@ void RulePredictor::train(const LogView& training) {
 
 void RulePredictor::reset() {
   window_.clear();
-  item_counts_.assign(ItemBitset::kBits, 0);
-  live_items_.reset();
+  item_counts_.assign(kItemBodyBits, 0);
   overflow_counts_.clear();
+  match_.bind(*rules_);
   rule_debounce_.clear();
-  memo_valid_ = false;
 }
 
 void RulePredictor::add_item(Item item) {
-  const std::size_t bit = item_bit(item);
+  const std::size_t bit = counted_bit(item);
   if (bit == kNoItemBit) {
     ++overflow_counts_[item];
     return;
   }
   if (item_counts_[bit]++ == 0) {
-    live_items_.set(bit);
+    match_.add(bit);
   }
 }
 
 void RulePredictor::remove_item(Item item) {
-  const std::size_t bit = item_bit(item);
+  const std::size_t bit = counted_bit(item);
   if (bit == kNoItemBit) {
     const auto it = overflow_counts_.find(item);
     BGL_CHECK(it != overflow_counts_.end(),
@@ -69,7 +78,7 @@ void RulePredictor::remove_item(Item item) {
   BGL_CHECK(item_counts_[bit] > 0,
             "evicting an item the window never counted");
   if (--item_counts_[bit] == 0) {
-    live_items_.clear(bit);
+    match_.remove(bit);
   }
 }
 
@@ -104,7 +113,7 @@ void RulePredictor::save_state(std::ostream& os) const {
 void RulePredictor::load_state(std::istream& is) {
   detail::read_checkpoint_header(is, "RULE", config_);
   rules_ = load_rules(is);
-  // Right away: the debounce keys and the memo point into the old rules.
+  // Right away: the debounce keys and match_ point into the old rules.
   reset();
   training_stats_.fatal_events =
       wire::read<std::uint64_t>(is, "fatal event count");
@@ -118,8 +127,8 @@ void RulePredictor::load_state(std::istream& is) {
     const auto item = wire::read<std::uint32_t>(is, "window entry item");
     window_.emplace_back(static_cast<TimePoint>(time),
                          static_cast<Item>(item));
-    // Replaying the inserts rebuilds item_counts_/live_items_/
-    // overflow_counts_ exactly as the live engine maintained them.
+    // Replaying the inserts rebuilds item_counts_, overflow_counts_ and
+    // match_'s counts exactly as the live engine maintained them.
     add_item(window_.back().second);
   }
   const auto debounce_size = wire::read<std::uint64_t>(is, "debounce size");
@@ -149,16 +158,12 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
 
   const Rule* rule = nullptr;
   if (overflow_counts_.empty()) {
-    // Fast path: the live bitset is the window's distinct item set.
-    if (!memo_valid_ || live_items_ != memo_items_) {
-      memo_rule_ = rules_->best_match(live_items_);
-      memo_items_ = live_items_;
-      memo_valid_ = true;
-    }
-    rule = memo_rule_;
+    // Fast path: match_ has counted every item of the window.
+    rule = match_.best();
   } else {
-    // Items outside the bitset universe are present (synthetic inputs):
-    // fall back to the full sorted-itemset match for exact semantics.
+    // Items match_ does not track are present (synthetic inputs or a
+    // crafted checkpoint): fall back to the full sorted-itemset match for
+    // exact semantics.
     Itemset observed;
     observed.reserve(window_.size());
     for (const auto& [t, item] : window_) {

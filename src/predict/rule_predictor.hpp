@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bitset.hpp"
 #include "mining/event_sets.hpp"
 #include "mining/rules.hpp"
 #include "predict/predictor.hpp"
@@ -62,26 +61,23 @@ class RulePredictor final : public BasePredictor {
   PredictionConfig config_;
   RulePredictorOptions options_;
   // Immutable once held, and shared by load_rules: the debounce keys and
-  // the memo point into a set this predictor keeps alive.
+  // match_ point into a set this predictor keeps alive.
   std::shared_ptr<const RuleSet> rules_;
   EventSetStats training_stats_;
 
   // Streaming test state. The window's distinct-item set is maintained
-  // incrementally: per-item occurrence counts plus a live ItemBitset
-  // updated on insert/evict, so each observe() is a handful of word ops
-  // instead of a rebuild + sort of the window's itemset. Items outside
-  // the fixed bitset universe (synthetic tests only) spill into
-  // overflow_counts_ and force the equivalent naive rebuild path.
+  // incrementally: per-item occurrence counts, and match_, told of each
+  // item whose count goes 0 -> 1 or 1 -> 0, so each observe() reads the
+  // best match instead of rebuilding and matching the window's itemset.
+  // Items outside the fixed bitset universe (synthetic tests only), and
+  // label items (only a crafted checkpoint's window holds one), spill
+  // into overflow_counts_ and force the equivalent naive rebuild path.
   std::deque<std::pair<TimePoint, Item>> window_;  // non-fatal items
   std::vector<std::uint32_t> item_counts_ =
-      std::vector<std::uint32_t>(ItemBitset::kBits, 0);  // by dense item bit
-  ItemBitset live_items_;                          // bits with count > 0
-  std::map<Item, std::uint32_t> overflow_counts_;  // unencodable items
+      std::vector<std::uint32_t>(kItemBodyBits, 0);  // by body item bit
+  std::map<Item, std::uint32_t> overflow_counts_;  // untracked items
+  RuleMatch match_;  // bound to *rules_
   std::unordered_map<const Rule*, TimePoint> rule_debounce_;
-  // best_match of memo_items_ until reset(): most records repeat the set.
-  bool memo_valid_ = false;
-  ItemBitset memo_items_;
-  const Rule* memo_rule_ = nullptr;
 
   void add_item(Item item);
   void remove_item(Item item);

@@ -2,16 +2,18 @@
 // ItemBitset / DynamicBitset units, the dense item encoding, and
 // randomized differential checks pinning every fast path to its retained
 // naive reference (vertical support counting, Eclat-style Apriori,
-// indexed rule matching).
+// indexed and counted rule matching).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/bitset.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "counted_match.hpp"
 #include "mining/apriori.hpp"
 #include "mining/items.hpp"
 #include "mining/rules.hpp"
@@ -278,9 +280,10 @@ TEST(DifferentialTest, BestMatchMatchesNaive) {
       EXPECT_EQ(fast, naive)
           << "round " << round << " observed "
           << itemset_to_string(observed);
-      ItemBitset bits;
-      if (try_encode_bitset(observed, &bits)) {
-        EXPECT_EQ(rules.best_match(bits), naive);
+      if (counted::countable(observed)) {
+        EXPECT_EQ(counted::best(rules, observed), naive)
+            << "round " << round << " observed "
+            << itemset_to_string(observed);
       }
     }
   }
@@ -292,9 +295,12 @@ TEST(RuleSetTest, DefaultConstructedMatchesNothing) {
   const RuleSet rules;
   EXPECT_EQ(rules.reachable_size(), 0u);
   EXPECT_EQ(rules.best_match(Itemset{body_item(1), body_item(7)}), nullptr);
-  ItemBitset bits;
-  bits.set(item_bit(body_item(1)));
-  EXPECT_EQ(rules.best_match(bits), nullptr);
+  RuleMatch match(rules);
+  EXPECT_EQ(match.best(), nullptr);
+  match.add(item_bit(body_item(1)));
+  EXPECT_EQ(match.best(), nullptr);
+  match.remove(item_bit(body_item(1)));
+  EXPECT_EQ(match.best(), nullptr);
 }
 
 TEST(RuleSetTest, EmptyBodyRuleMatchesEmptyWindow) {
@@ -306,8 +312,111 @@ TEST(RuleSetTest, EmptyBodyRuleMatchesEmptyWindow) {
   rule.support = 0.1;
   const RuleSet rules({rule});
   EXPECT_NE(rules.best_match(Itemset{}), nullptr);
-  EXPECT_NE(rules.best_match(ItemBitset{}), nullptr);
+  RuleMatch match(rules);
+  EXPECT_NE(match.best(), nullptr);
+  EXPECT_EQ(match.best(), rules.best_match_naive(Itemset{}));
   EXPECT_EQ(rules.best_match(Itemset{}), rules.best_match_naive(Itemset{}));
+  match.add(item_bit(body_item(4)));
+  match.remove(item_bit(body_item(4)));
+  EXPECT_EQ(match.best(), &rules.rules()[0]);  // still, once emptied again
+}
+
+// ---- RuleMatch sequences ----------------------------------------------
+
+// A small synthetic set over body items 0-19: few one-item bodies, so
+// many are kept and the state often spans words; confidences from
+// four levels, so ties are common; super-bodies of earlier bodies that
+// can never fire; bodies holding a label item or an item outside the
+// universe, which the counting path never satisfies; and, when asked, an
+// empty body.
+RuleSet random_rule_set(Rng& rng, bool empty_body) {
+  std::vector<Rule> rules;
+  const auto n = static_cast<std::size_t>(rng.uniform_int(30, 240));
+  for (std::size_t i = 0; i < n; ++i) {
+    Rule rule;
+    const std::int64_t pick = rng.uniform_int(0, 39);
+    const std::int64_t size = pick == 0 ? 1 : pick <= 24 ? 2 : 3;
+    for (std::int64_t k = 0; k < size; ++k) {
+      rule.body.push_back(
+          body_item(static_cast<SubcategoryId>(rng.uniform_int(0, 19))));
+    }
+    if (!rules.empty() && rng.bernoulli(0.15)) {  // a dominated super-body
+      const Rule& earlier = rules[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rules.size()) - 1))];
+      rule.body.insert(rule.body.end(), earlier.body.begin(),
+                       earlier.body.end());
+    }
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+        rule.body.push_back(body_item(static_cast<SubcategoryId>(
+            kItemBodyBits + rng.uniform_int(0, 3))));
+        break;
+      case 1:
+        rule.body.push_back(
+            label_item(static_cast<SubcategoryId>(rng.uniform_int(0, 19))));
+        break;
+      default:
+        break;
+    }
+    std::sort(rule.body.begin(), rule.body.end());
+    rule.body.erase(std::unique(rule.body.begin(), rule.body.end()),
+                    rule.body.end());
+    rule.heads = {static_cast<SubcategoryId>(50 + i % 3)};
+    rule.confidence = static_cast<double>(rng.uniform_int(1, 4)) / 4.0;
+    rule.support = static_cast<double>(rng.uniform_int(1, 2)) / 10.0;
+    rules.push_back(std::move(rule));
+  }
+  if (empty_body) {
+    Rule rule;
+    rule.heads = {60};
+    rule.confidence = static_cast<double>(rng.uniform_int(1, 4)) / 4.0;
+    rule.support = 0.1;
+    rules.push_back(std::move(rule));
+  }
+  return RuleSet(std::move(rules));
+}
+
+TEST(RuleMatchTest, RandomAddRemoveSequencesMatchNaive) {
+  Rng rng(0x5e9c0de5u);
+  std::size_t multi_word_sets = 0;
+  for (int round = 0; round < 40; ++round) {
+    const RuleSet first = random_rule_set(rng, round % 2 == 0);
+    const RuleSet second = random_rule_set(rng, round % 3 == 0);
+    multi_word_sets += first.reachable_size() > 64;
+    multi_word_sets += second.reachable_size() > 64;
+    RuleMatch match(first);
+    const RuleSet* bound = &first;
+    std::vector<Item> live;  // the window's distinct items
+    for (int step = 0; step < 400; ++step) {
+      if (step == 200) {
+        // Rebind mid-stream and replay the live items, as load_state
+        // does after swapping the model.
+        match.bind(second);
+        bound = &second;
+        for (const Item item : live) {
+          match.add(item_bit(item));
+        }
+      } else if (!live.empty() && (live.size() == 20 || rng.bernoulli(0.5))) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        match.remove(item_bit(live[at]));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        Item item = 0;
+        do {
+          item = body_item(static_cast<SubcategoryId>(rng.uniform_int(0, 19)));
+        } while (std::find(live.begin(), live.end(), item) != live.end());
+        match.add(item_bit(item));
+        live.push_back(item);
+      }
+      Itemset observed = live;
+      std::sort(observed.begin(), observed.end());
+      ASSERT_EQ(match.best(), bound->best_match_naive(observed))
+          << "round " << round << " step " << step << " window "
+          << itemset_to_string(observed);
+    }
+  }
+  EXPECT_GT(multi_word_sets, 10u) << "the summary words must be exercised";
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "core/three_phase.hpp"
+#include "counted_match.hpp"
 #include "eval/lead_time.hpp"
 #include "mining/event_sets.hpp"
 #include "mining/rules.hpp"
@@ -236,16 +237,17 @@ Rule rule(Itemset body, std::vector<SubcategoryId> heads, double conf) {
   return r;
 }
 
-// Every query below must get best_match_naive's rule from both overloads.
+// Every query below must get best_match_naive's rule from best_match and,
+// where it can track the window, from a RuleMatch.
 void expect_matches_naive(const RuleSet& rules,
                           const std::vector<Itemset>& queries) {
   for (const Itemset& observed : queries) {
     const Rule* naive = rules.best_match_naive(observed);
     EXPECT_EQ(rules.best_match(observed), naive)
         << itemset_to_string(observed);
-    ItemBitset bits;
-    if (try_encode_bitset(observed, &bits)) {
-      EXPECT_EQ(rules.best_match(bits), naive) << itemset_to_string(observed);
+    if (counted::countable(observed)) {
+      EXPECT_EQ(counted::best(rules, observed), naive)
+          << itemset_to_string(observed);
     }
   }
 }
@@ -291,13 +293,13 @@ TEST(PruningTest, KeptEmptyBodyMakesLaterRulesUnreachable) {
                        rule({2}, {50}, 0.5), rule({1, 2}, {60}, 0.4)});
   EXPECT_EQ(rules.reachable_size(), 2u);
   EXPECT_EQ(rules.best_match(Itemset{2}), &rules.rules()[1]);
-  EXPECT_EQ(rules.best_match(ItemBitset{}), &rules.rules()[1]);
+  EXPECT_EQ(RuleMatch(rules).best(), &rules.rules()[1]);
   expect_matches_naive(rules, {{}, {1}, {2}, {1, 2}});
 }
 
 TEST(PruningTest, UnencodableBodies) {
-  // Items past the bitset universe (synthetic inputs only) take the
-  // scanned, always-checked path and must prune exactly as well.
+  // Items past the bitset universe (synthetic inputs only): their bodies
+  // are kept out of the counting path, and must prune exactly as well.
   const Item far = body_item(static_cast<SubcategoryId>(kItemBodyBits + 3));
   const RuleSet rules({rule({1}, {50}, 0.9), rule({far}, {50}, 0.8),
                        rule({1, far}, {50}, 0.7), rule({2, far}, {50}, 0.6),

@@ -5,14 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binary.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mining/apriori.hpp"
 #include "mining/event_sets.hpp"
@@ -415,6 +418,91 @@ TEST(RuleSetTest, LoadOfARuleOneUlpApartBuildsItsOwnSet) {
   EXPECT_NE(nudged, original);
   EXPECT_EQ(nudged->rules(), rules);
   EXPECT_NE(nudged->rules(), original->rules());
+}
+
+TEST(RuleSetTest, EveryProperPrefixOfASectionThrowsAndRegistersNothing) {
+  const std::string blob = small_rule_blob();
+  for (std::size_t length = 0; length < blob.size(); ++length) {
+    EXPECT_THROW(load_rules_from(blob.substr(0, length)), ParseError)
+        << length << " of " << blob.size() << " bytes";
+  }
+  const std::shared_ptr<const RuleSet> a = load_rules_from(blob);
+  const std::shared_ptr<const RuleSet> b = load_rules_from(blob);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.use_count(), 2);  // the registry holds no reference
+  ASSERT_EQ(a->size(), 3u);
+}
+
+TEST(RuleSetTest, LoadOfASectionDifferingInItsLastByteBuildsItsOwnSet) {
+  const std::string blob = small_rule_blob();
+  std::string changed = blob;
+  changed.back() = static_cast<char>(changed.back() ^ 1);  // top hit byte
+  const std::shared_ptr<const RuleSet> original = load_rules_from(blob);
+  const std::shared_ptr<const RuleSet> other = load_rules_from(changed);
+  EXPECT_NE(other, original);
+  EXPECT_EQ(other->rules().back().hit_count,
+            original->rules().back().hit_count ^ (std::uint64_t{1} << 56));
+  EXPECT_EQ(load_rules_from(blob), original);
+  EXPECT_EQ(load_rules_from(changed), other);
+}
+
+/// Overwrites the 8 bytes at `at` with `value`, little-endian.
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t value) {
+  std::string le;
+  wire::append(le, value);
+  bytes.replace(at, le.size(), le);
+}
+
+/// stable_hash64's state after the first `words` 8-byte words of `bytes`
+/// (common/hash.hpp; the test asserts the collision it crafts with it).
+std::uint64_t hash_state(std::string_view bytes, std::size_t words) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = bytes.size() * kMul;
+  for (std::size_t i = 0; i < words; ++i) {
+    h = (h ^ wire::decode<std::uint64_t>(bytes.data() + 8 * i)) * kMul;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
+TEST(RuleSetTest, LoadOfASectionCraftedToCollideBuildsItsOwnSet) {
+  // Four one-item rules make a 192-byte section after the tag: its last
+  // two 8-byte words are the last rule's body and hit counts.
+  std::vector<Rule> rules(4);
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    rules[i].body = {static_cast<Item>(i + 1)};
+    rules[i].heads = {static_cast<SubcategoryId>(50 + i)};
+    rules[i].support = 0.1;
+    rules[i].confidence = 0.9 - 0.2 * static_cast<double>(i);
+    rules[i].body_count = 10;
+    rules[i].hit_count = 9 - 2 * i;
+  }
+  std::ostringstream os;
+  save_rules(os, RuleSet(std::move(rules)));
+  const std::string blob = os.str();
+  const std::string_view section = std::string_view(blob).substr(8);
+  ASSERT_EQ(section.size(), 192u);
+  // A new body count in word 22; word 23 undoes its effect on the state.
+  std::string crafted = blob;
+  const std::size_t body_count_at = 8 + 22 * 8;
+  const std::size_t hit_count_at = 8 + 23 * 8;
+  put_u64(crafted, body_count_at, 11);
+  const std::uint64_t hits =
+      wire::decode<std::uint64_t>(blob.data() + hit_count_at) ^
+      hash_state(section, 23) ^
+      hash_state(std::string_view(crafted).substr(8), 23);
+  put_u64(crafted, hit_count_at, hits);
+  ASSERT_EQ(stable_hash64(std::string_view(crafted).substr(8)),
+            stable_hash64(section));
+
+  const std::shared_ptr<const RuleSet> original = load_rules_from(blob);
+  const std::shared_ptr<const RuleSet> collided = load_rules_from(crafted);
+  EXPECT_NE(collided, original);
+  EXPECT_EQ(collided->rules().back().body_count, 11u);
+  EXPECT_EQ(collided->rules().back().hit_count, hits);
+  EXPECT_EQ(original->rules().back().body_count, 10u);
+  EXPECT_EQ(load_rules_from(blob), original);
+  EXPECT_EQ(load_rules_from(crafted), collided);
 }
 
 TEST(RuleSetTest, SetsLiveOnlyAsLongAsTheirHolders) {

@@ -3,8 +3,10 @@
 
 #include <sstream>
 
+#include "common/binary.hpp"
 #include "common/error.hpp"
 #include "predict/baselines.hpp"
+#include "predict/checkpoint.hpp"
 #include "predict/rule_predictor.hpp"
 #include "predict/statistical_predictor.hpp"
 #include "taxonomy/catalog.hpp"
@@ -353,6 +355,41 @@ TEST(CheckpointTest, RuleRoundTripPreservesMidStreamState) {
     EXPECT_EQ(a->confidence, b->confidence);
     EXPECT_EQ(a->issued_at, b->issued_at);
   }
+}
+
+TEST(CheckpointTest, RuleWindowHoldingALabelItemMatchesAsTheNaiveScan) {
+  // Only a crafted checkpoint puts a label item in the window. The
+  // counting state does not track it, so matching must take the rebuilt
+  // window's scan, as best_match_naive does, while the item is live.
+  PredictionConfig config;
+  config.window = 30 * kMinute;
+  Rule labelled;
+  labelled.body = {body_item(catalog().find("nodeMapFileError")),
+                   label_item(7)};
+  labelled.heads = {7};
+  labelled.support = 0.1;
+  labelled.confidence = 0.9;
+  const TimePoint t0 = 9000000;
+  std::ostringstream os;
+  detail::write_checkpoint_header(os, "RULE", config);
+  save_rules(os, RuleSet({labelled}));
+  for (int i = 0; i < 3; ++i) {
+    wire::write<std::uint64_t>(os, 0);  // training statistics
+  }
+  wire::write<std::uint64_t>(os, 1);  // window: the label item alone
+  wire::write<std::int64_t>(os, t0);
+  wire::write<std::uint32_t>(os, label_item(7));
+  wire::write<std::uint64_t>(os, 0);  // no debounce entries
+
+  RulePredictor restored(config);
+  std::istringstream is(os.str());
+  restored.load_state(is);
+  const auto w = restored.observe(event(t0 + 1, "nodeMapFileError"));
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->confidence, 0.9);
+  // Once the label item has left the window, the rule cannot fire.
+  EXPECT_FALSE(
+      restored.observe(event(t0 + 30 * kMinute + 2, "nodeMapFileError")));
 }
 
 TEST(CheckpointTest, LoadRejectsConfigMismatch) {

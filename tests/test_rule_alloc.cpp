@@ -1,6 +1,7 @@
-// Allocation gates: a steady-state RuleSet::best_match call, through
-// either overload, and a steady-state Session::on_bytes on a SUBMIT frame
-// (framing, CRC, decode, enqueue, reply) must not touch the heap. The
+// Allocation gates: steady-state rule matching, through RuleSet::
+// best_match and through a bound RuleMatch's add, remove and best, and a
+// steady-state Session::on_bytes on a SUBMIT frame (framing, CRC, decode,
+// enqueue, reply) must not touch the heap. The
 // regex hot-alloc lint sees only spelled-out allocations; this binary
 // replaces the global operator new/delete with a per-thread counter, so
 // it also sees copies, resizes and growth inside containers.
@@ -65,21 +66,37 @@ TEST(RuleAllocTest, SteadyStateBestMatchAllocatesNothing) {
   RulePredictor predictor(options.prediction, options.rule);
   predictor.train(phase1_log(0.01, 0));
   const RuleSet& rules = predictor.rules();
-  ASSERT_GT(rules.reachable_size(), 64u) << "item masks must span words";
+  ASSERT_GT(rules.reachable_size(), 64u) << "the state must span words";
 
-  // Every sliding window of a held-out stream, collected up front.
+  // Every sliding window of a held-out stream, collected up front, with
+  // the changes of its item set that led there: bits that entered and
+  // bits that left, as RulePredictor reports them.
   const RasLog stream = phase1_log(0.002, 1);
   std::vector<Itemset> windows;
+  std::vector<std::vector<std::size_t>> added;
+  std::vector<std::vector<std::size_t>> removed;
   std::deque<std::pair<TimePoint, Item>> window;
+  std::vector<std::size_t> counts(kItemBodyBits, 0);
+  std::vector<std::size_t> left;  // since the last matched window
   for (const RasRecord& rec : stream.records()) {
     while (!window.empty() &&
            window.front().first <= rec.time - options.prediction.window) {
+      const std::size_t bit = item_bit(window.front().second);
+      if (--counts[bit] == 0) {
+        left.push_back(bit);
+      }
       window.pop_front();
     }
     if (rec.fatal() || rec.subcategory == kUnclassified) {
       continue;
     }
     window.emplace_back(rec.time, body_item(rec.subcategory));
+    std::vector<std::size_t> entered;
+    const std::size_t bit = item_bit(window.back().second);
+    ASSERT_NE(bit, kNoItemBit);
+    if (counts[bit]++ == 0) {
+      entered.push_back(bit);
+    }
     Itemset observed;
     for (const auto& entry : window) {
       observed.push_back(entry.second);
@@ -88,25 +105,31 @@ TEST(RuleAllocTest, SteadyStateBestMatchAllocatesNothing) {
     observed.erase(std::unique(observed.begin(), observed.end()),
                    observed.end());
     windows.push_back(std::move(observed));
-  }
-  std::vector<ItemBitset> bits(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    ASSERT_TRUE(try_encode_bitset(windows[i], &bits[i]));
+    added.push_back(std::move(entered));
+    removed.push_back(std::move(left));
+    left.clear();
   }
   ASSERT_GT(windows.size(), 1000u);
 
+  RuleMatch match(rules);
   std::size_t matched = 0;
   std::size_t disagreed = 0;
   const std::size_t before = g_allocations;
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const Rule* from_items = rules.best_match(windows[i]);
-    const Rule* from_bits = rules.best_match(bits[i]);
-    matched += from_items != nullptr;
-    disagreed += from_items != from_bits;
+    for (const std::size_t bit : removed[i]) {
+      match.remove(bit);
+    }
+    for (const std::size_t bit : added[i]) {
+      match.add(bit);
+    }
+    const Rule* naive = rules.best_match_naive(windows[i]);
+    matched += naive != nullptr;
+    disagreed += rules.best_match(windows[i]) != naive;
+    disagreed += match.best() != naive;
   }
   const std::size_t allocations = g_allocations - before;
   EXPECT_EQ(allocations, 0u)
-      << "over " << 2 * windows.size() << " best_match calls";
+      << "over " << windows.size() << " windows of best_match and best";
   EXPECT_EQ(disagreed, 0u);
   EXPECT_GT(matched, 0u);
 }

@@ -1,16 +1,18 @@
 // Differential gate for the served rule matcher. RulePredictor matches
-// through the pruned index, the word-at-a-time walk and its last-set
-// memo; an oracle here rebuilds each window's itemset from scratch,
-// scans the full rules() list with best_match_naive and applies the same
+// through the pruned index and its per-stream counting state (RuleMatch);
+// an oracle here rebuilds each window's itemset from scratch, scans the
+// full rules() list with best_match_naive and applies the same
 // same-second debounce. On held-out logs of three profiles, every record
 // must produce the same warning from both, and every window must get
-// best_match_naive's rule from both best_match overloads. Mid-stream
-// checkpoint restores, of the same model and of a different one, check
-// that no memo outlives the rules it points into.
+// best_match_naive's rule from best_match and from a RuleMatch the
+// oracle drives through its own window. Mid-stream checkpoint restores,
+// of the same model and of a different one, check that no matching state
+// outlives the rules it counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -29,17 +31,23 @@ namespace {
 class Oracle {
  public:
   Oracle(const PredictionConfig& config, RuleSet rules)
-      : config_(config), rules_(std::move(rules)) {}
-  Oracle(const Oracle&) = delete;  // debounce keys point into rules_
+      : config_(config), rules_(std::move(rules)), match_(rules_) {}
+  // The debounce keys and match_ point into rules_.
+  Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
 
   const RuleSet& rules() const { return rules_; }
+  /// best() of a RuleMatch told of every change of the window's item set.
+  const Rule* counted_best() const { return match_.best(); }
 
   /// The warning RulePredictor must emit for `rec`. Leaves the window's
   /// distinct items in `observed`, or clears it when nothing is matched.
   std::optional<Warning> observe(const RasRecord& rec, Itemset* observed) {
     while (!window_.empty() &&
            window_.front().first <= rec.time - config_.window) {
+      if (--counts_[window_.front().second] == 0) {
+        match_.remove(item_bit(window_.front().second));
+      }
       window_.pop_front();
     }
     observed->clear();
@@ -47,6 +55,9 @@ class Oracle {
       return std::nullopt;
     }
     window_.emplace_back(rec.time, body_item(rec.subcategory));
+    if (counts_[window_.back().second]++ == 0) {
+      match_.add(item_bit(window_.back().second));
+    }
     for (const auto& entry : window_) {
       observed->push_back(entry.second);
     }
@@ -77,7 +88,9 @@ class Oracle {
  private:
   PredictionConfig config_;
   RuleSet rules_;
+  RuleMatch match_;
   std::deque<std::pair<TimePoint, Item>> window_;
+  std::map<Item, std::size_t> counts_;  // window occurrences per item
   std::unordered_map<const Rule*, TimePoint> debounce_;
 };
 
@@ -141,8 +154,8 @@ struct Mismatches {
   }
 };
 
-// Feeds rec to both sides and records any difference in the warning or
-// in either best_match overload on the oracle's window.
+// Feeds rec to both sides and records any difference in the warning, or
+// in best_match or the oracle's RuleMatch on the oracle's window.
 void step(RulePredictor& predictor, Oracle& oracle, const RasRecord& rec,
           std::size_t index, Mismatches* out) {
   Itemset observed;
@@ -154,10 +167,8 @@ void step(RulePredictor& predictor, Oracle& oracle, const RasRecord& rec,
     if (oracle.rules().best_match(observed) != naive) {
       out->note(index, "best_match(Itemset) differs from the naive scan");
     }
-    ItemBitset bits;
-    if (try_encode_bitset(observed, &bits) &&
-        oracle.rules().best_match(bits) != naive) {
-      out->note(index, "best_match(ItemBitset) differs from the naive scan");
+    if (oracle.counted_best() != naive) {
+      out->note(index, "RuleMatch::best differs from the naive scan");
     }
   }
   if (got.has_value() != expected.has_value()) {
@@ -212,7 +223,7 @@ TEST_P(RuleDifferentialTest, ServedWarningsEqualNaiveOracle) {
       step(b, oracle_b, records[i], i, &m);
     }
     // b has seen the same records, so its window holds the item set a's
-    // memo was last keyed on; only the rules differ.
+    // counts were last keyed on; only the rules differ.
     std::stringstream blob;
     b.save_state(blob);
     a.load_state(blob);
