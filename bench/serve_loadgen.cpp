@@ -13,15 +13,11 @@
 //    pipelined SUBMIT_BATCH windows go out, per-frame submit→reply
 //    latency lands in an exact (sorted-sample) p50/p99/p999, and the
 //    row reports throughput plus dropped/desynced/busy anomaly counts.
-//    The server runs whichever backend BGL_SERVE_POLL selects, so the
-//    same sweep measures epoll against the poll() oracle.
 //
 //   $ ./serve_loadgen                   # full google-benchmark sweep
-//   $ ./serve_loadgen --smoke           # CI gate: correctness pass +
-//                                       # epoll-vs-poll throughput
-//                                       # floor over alternating live
-//                                       # pairs, then emits
-//                                       # BENCH_serve.json (cheap row)
+//   $ ./serve_loadgen --smoke           # CI gate: correctness pass,
+//                                       # then emits BENCH_serve.json
+//                                       # (cheap row)
 //   $ ./serve_loadgen --sweep-smoke     # CI gate: few-hundred-conn
 //                                       # sweep, p99 bound, zero
 //                                       # dropped/desynced frames
@@ -278,7 +274,7 @@ SweepResult run_sweep(const SweepConfig& cfg, const ThreePhasePredictor& tpp) {
   // client-side epoll poller.
   std::vector<std::uint64_t> latencies_us;
   latencies_us.reserve(conns.size() * cfg.frames_per_conn);
-  auto poller = make_event_poller(PollerBackend::kEpoll);
+  EventPoller poller;
   std::vector<SweepConn*> by_fd(65536, nullptr);
   std::size_t done_count = 0;
   std::vector<char> scratch(64 * 1024);
@@ -311,23 +307,23 @@ SweepResult run_sweep(const SweepConfig& cfg, const ThreePhasePredictor& tpp) {
   const auto start = std::chrono::steady_clock::now();
   for (auto& conn : conns) {
     by_fd[static_cast<std::size_t>(conn->fd.get())] = conn.get();
-    poller->add(conn->fd.get(), /*want_write=*/false);
+    poller.add(conn->fd.get(), /*want_write=*/false);
     if (!pump_writes(*conn, tpl)) {
       conn->done = true;
       ++done_count;
       ++result.dropped;
-      poller->remove(conn->fd.get());
+      poller.remove(conn->fd.get());
       continue;
     }
     if (conn->write_off < conn->wire.size()) {
       conn->want_write = true;
-      poller->set_want_write(conn->fd.get(), true);
+      poller.set_want_write(conn->fd.get(), true);
     }
   }
   const auto deadline = start + std::chrono::seconds(120);
   while (done_count < conns.size() &&
          std::chrono::steady_clock::now() < deadline) {
-    const std::size_t n = poller->wait(1000, events);
+    const std::size_t n = poller.wait(1000, events);
     for (std::size_t i = 0; i < n; ++i) {
       SweepConn* conn = by_fd[static_cast<std::size_t>(events[i].fd)];
       if (conn == nullptr || conn->done) {
@@ -339,7 +335,7 @@ SweepResult run_sweep(const SweepConfig& cfg, const ThreePhasePredictor& tpp) {
         if (!failed && conn->write_off == conn->wire.size() &&
             conn->want_write) {
           conn->want_write = false;
-          poller->set_want_write(conn->fd.get(), false);
+          poller.set_want_write(conn->fd.get(), false);
         }
       }
       if (!failed && events[i].readable) {
@@ -384,7 +380,7 @@ SweepResult run_sweep(const SweepConfig& cfg, const ThreePhasePredictor& tpp) {
         }
         conn->done = true;
         ++done_count;
-        poller->remove(conn->fd.get());
+        poller.remove(conn->fd.get());
         by_fd[static_cast<std::size_t>(conn->fd.get())] = nullptr;
         conn->fd.reset();
       }
@@ -434,7 +430,6 @@ void BM_ServeSweep(benchmark::State& state) {
   for (auto _ : state) {
     r = run_sweep(cfg, tpp);
   }
-  state.SetLabel(to_string(poller_backend_from_env()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(r.records_submitted));
   state.counters["connections"] = static_cast<double>(r.connections);
@@ -449,46 +444,9 @@ void BM_ServeSweep(benchmark::State& state) {
   state.counters["desynced"] = static_cast<double>(r.desynced);
 }
 
-// ---- throughput probes ------------------------------------------------------
-
-/// Records/s of a pipelined submit replay against the given backend —
-/// the number the smoke gate compares across backends.
-double throughput_probe(PollerBackend backend, const ThreePhasePredictor& tpp) {
-  const Workload& load = workload();
-  std::vector<WireRecord> all;
-  for (const auto& stream : load.streams) {
-    all.insert(all.end(), stream.begin(), stream.end());
-  }
-  ServerOptions options;
-  options.backend = backend;
-  options.shards.shard_count = 2;
-  options.shards.queue_capacity = 4096;
-  options.shards.predictor_factory = [&tpp] {
-    return tpp.make_predictor(Method::kEveryFailure);
-  };
-  Server server(options);
-  server.start();
-  Client client = Client::connect(server.port());
-  const auto start = std::chrono::steady_clock::now();
-  client.submit_all_pipelined(1, all, /*batch_size=*/64, /*window=*/8);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  client.shutdown_server();
-  server.stop();
-  return static_cast<double>(all.size()) / std::max(elapsed, 1e-9);
-}
-
-double median_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
-}
-
 // ---- CI gates ------------------------------------------------------------
 
-/// One end-to-end pass with correctness checks, then the epoll-vs-poll
-/// throughput floor — the CI smoke gate.
+/// One end-to-end pass with correctness checks — the CI smoke gate.
 int run_smoke() {
   const ThreePhasePredictor tpp;
   const Workload& load = workload();
@@ -520,31 +478,6 @@ int run_smoke() {
                  want.c_str(), stats.c_str());
     return 1;
   }
-  // Throughput floor: the epoll backend must not serve slower than the
-  // poll() oracle on the same machine. Probes run in alternating
-  // poll/epoll pairs, so slow host drift hits both sides alike, and the
-  // gate compares medians, so one noisy probe cannot fail it. The 15 %
-  // margin absorbs scheduler noise, not regressions — losing to poll()
-  // by more means the event loop broke.
-  constexpr int kPairs = 5;
-  std::vector<double> poll_rps;
-  std::vector<double> epoll_rps;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    poll_rps.push_back(throughput_probe(PollerBackend::kPoll, tpp));
-    epoll_rps.push_back(throughput_probe(PollerBackend::kEpoll, tpp));
-  }
-  const double poll_median = median_of(poll_rps);
-  const double epoll_median = median_of(epoll_rps);
-  std::printf("smoke: throughput medians over %d pairs epoll=%.0f poll=%.0f "
-              "records/s\n",
-              kPairs, epoll_median, poll_median);
-  if (epoll_median < 0.85 * poll_median) {
-    std::fprintf(stderr,
-                 "smoke: median epoll throughput %.0f below floor %.0f "
-                 "(0.85 x median poll %.0f)\n",
-                 epoll_median, 0.85 * poll_median, poll_median);
-    return 1;
-  }
   std::printf("smoke: %zu records, %zu warnings served OK\n",
               load.total_records, warnings);
   return 0;
@@ -560,10 +493,9 @@ int run_sweep_smoke() {
   cfg.records_per_frame = 4;
   const SweepResult r = run_sweep(cfg, tpp);
   std::printf(
-      "sweep-smoke [%s]: %zu conns, %zu records, %.2fs, p50=%luus "
+      "sweep-smoke: %zu conns, %zu records, %.2fs, p50=%luus "
       "p99=%luus p999=%luus, busy=%zu dropped=%zu desynced=%zu\n",
-      to_string(poller_backend_from_env()), r.connections,
-      r.records_submitted, r.elapsed_s,
+      r.connections, r.records_submitted, r.elapsed_s,
       static_cast<unsigned long>(r.p50_us),
       static_cast<unsigned long>(r.p99_us),
       static_cast<unsigned long>(r.p999_us), r.busy_replies, r.dropped,
@@ -1007,11 +939,10 @@ int run_chaos() {
         s.typed_rejections, s.server_closes, s.frames_sent, s.bytes_sent);
   }
   std::printf(
-      "chaos [%s]: healthy=%llu records (%zu reconnects) "
+      "chaos: healthy=%llu records (%zu reconnects) "
       "clean p50/p99=%llu/%llu us, storm p50/p99=%llu/%llu us; "
       "shed=%llu evicted=%llu idle=%llu stalled=%llu budget=%llu; "
       "resilient reconnects=%zu resumed=%llu; rss %zu->%zu KiB: %s\n",
-      to_string(poller_backend_from_env()),
       static_cast<unsigned long long>(healthy_records), healthy_reconnects,
       static_cast<unsigned long long>(clean_p50),
       static_cast<unsigned long long>(clean_p99),
@@ -1029,7 +960,6 @@ int run_chaos() {
   std::ofstream out("BENCH_chaos.json");
   out << "{\n"
       << "  \"name\": \"serve_chaos\",\n"
-      << "  \"backend\": \"" << to_string(poller_backend_from_env()) << "\",\n"
       << "  \"workload\": \"" << (g_smoke ? "smoke" : "full") << "\",\n"
       << "  \"healthy_records\": " << healthy_records << ",\n"
       << "  \"healthy_reconnects\": " << healthy_reconnects << ",\n"

@@ -1,14 +1,11 @@
 #include "serve/event_poller.hpp"
 
-#include <poll.h>  // repo-lint: allow(naked-poll)
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "common/error.hpp"
@@ -84,226 +81,110 @@ void signal_eventfd(const OwnedFd& fd) {
   }
 }
 
-// ---- epoll backend -------------------------------------------------------
-
-class EpollPoller final : public EventPoller {
- public:
-  EpollPoller() : epoll_(::epoll_create1(EPOLL_CLOEXEC)) {
-    if (!epoll_.valid()) {
-      throw_errno("epoll_create1");
-    }
-    wakeup_ = make_notify_eventfd();
-    // The notify eventfd stays level-triggered: it is drained on every
-    // fire, so LT cannot spin, and LT removes any reasoning about
-    // write-vs-drain edge races on the counter.
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wakeup_.get();
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wakeup_.get(), &ev) != 0) {
-      throw_errno("epoll_ctl add eventfd");
-    }
+std::uint32_t interest(bool want_write) {
+  std::uint32_t events = EPOLLIN | EPOLLRDHUP | EPOLLET;
+  if (want_write) {
+    events |= EPOLLOUT;
   }
-
-  void add(int fd, bool want_write) override {
-    epoll_event ev{};
-    ev.events = interest(want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl add");
-    }
-  }
-
-  void set_want_write(int fd, bool want_write) override {
-    epoll_event ev{};
-    ev.events = interest(want_write);
-    ev.data.fd = fd;
-    // EPOLL_CTL_MOD doubles as an edge re-arm: if the socket is already
-    // writable when EPOLLOUT is switched on, the next wait() reports it
-    // even though writability never transitioned.
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl mod");
-    }
-  }
-
-  void remove(int fd) override {
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      throw_errno("epoll_ctl del");
-    }
-  }
-
-  // bgl:hot-begin(serve-poller-wait)
-  // Woken once per batch of ready fds — O(ready), not O(connections) —
-  // and translating kernel events into ReadyEvents must not allocate
-  // beyond the caller's reused vector (the kernel batch grows only on
-  // the rare full-batch wakeup, then stays grown).
-  std::size_t wait(int timeout_ms, std::vector<ReadyEvent>& out) override {
-    out.clear();
-    const WaitDeadline deadline(timeout_ms);
-    int n;
-    for (;;) {
-      n = ::epoll_wait(epoll_.get(), kernel_events_.data(),
-                       static_cast<int>(kernel_events_.size()),
-                       deadline.remaining_ms());
-      if (n >= 0) {
-        break;
-      }
-      if (errno != EINTR) {
-        throw_errno("epoll_wait");  // fatal: the loop cannot continue
-      }
-      if (deadline.expired()) {
-        return 0;  // the signal ate the remaining budget: a real timeout
-      }
-      // Interrupted with time left (or an infinite/probe wait): re-wait
-      // with the remaining budget so timer deadlines fire on schedule.
-    }
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = kernel_events_[static_cast<std::size_t>(i)];
-      if (ev.data.fd == wakeup_.get()) {
-        drain_eventfd(wakeup_);
-        continue;
-      }
-      ReadyEvent ready;
-      ready.fd = ev.data.fd;
-      ready.readable = (ev.events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      ready.writable = (ev.events & EPOLLOUT) != 0;
-      ready.hangup = (ev.events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0;
-      out.push_back(ready);
-    }
-    // A full batch means more fds were probably ready than slots: every
-    // extra wakeup repays the loop's per-wakeup costs, so double the
-    // batch until one wakeup drains the ready list. Without this, 10k
-    // hot connections squeeze through 256-event windows and the epoll
-    // path loses to the poll() oracle (which reports everything at
-    // once) on exactly the workload it exists to win.
-    if (static_cast<std::size_t>(n) == kernel_events_.size()) {
-      kernel_events_.resize(kernel_events_.size() * 2);
-    }
-    return out.size();
-  }
-  // bgl:hot-end
-
-  void notify() override { signal_eventfd(wakeup_); }
-
-  PollerBackend backend() const override { return PollerBackend::kEpoll; }
-
- private:
-  static std::uint32_t interest(bool want_write) {
-    std::uint32_t events = EPOLLIN | EPOLLRDHUP | EPOLLET;
-    if (want_write) {
-      events |= EPOLLOUT;
-    }
-    return events;
-  }
-
-  OwnedFd epoll_;
-  OwnedFd wakeup_;
-  std::vector<epoll_event> kernel_events_{std::vector<epoll_event>(256)};
-};
-
-// ---- poll() oracle -------------------------------------------------------
-
-// The pre-epoll event loop's readiness primitive, kept as the
-// level-triggered differential oracle (BGL_SERVE_POLL=1): it rebuilds a
-// pollfd vector on every wait, which is exactly the O(connections)
-// behavior the epoll backend exists to replace. Deliberately slow,
-// deliberately simple — byte-identical served output against this
-// backend is the tentpole's correctness gate.
-class PollOracle final : public EventPoller {
- public:
-  PollOracle() { wakeup_ = make_notify_eventfd(); }
-
-  void add(int fd, bool want_write) override {
-    interest_.emplace(fd, want_write);
-  }
-
-  void set_want_write(int fd, bool want_write) override {
-    interest_.at(fd) = want_write;
-  }
-
-  void remove(int fd) override { interest_.erase(fd); }
-
-  std::size_t wait(int timeout_ms, std::vector<ReadyEvent>& out) override {
-    out.clear();
-    fds_.clear();
-    fds_.push_back(pollfd{wakeup_.get(), POLLIN, 0});
-    for (const auto& [fd, want_write] : interest_) {
-      short events = POLLIN;
-      if (want_write) {
-        events |= POLLOUT;
-      }
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    const WaitDeadline deadline(timeout_ms);
-    int ready;
-    for (;;) {
-      ready =  // repo-lint: allow(naked-poll)
-          ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
-                 deadline.remaining_ms());
-      if (ready >= 0) {
-        break;
-      }
-      if (errno != EINTR) {
-        throw_errno("poll");
-      }
-      if (deadline.expired()) {
-        return 0;
-      }
-      // Same EINTR discipline as the epoll backend: re-wait with the
-      // remaining budget instead of returning early.
-    }
-    if ((fds_[0].revents & POLLIN) != 0) {
-      drain_eventfd(wakeup_);
-    }
-    for (std::size_t i = 1; i < fds_.size(); ++i) {
-      const short revents = fds_[i].revents;
-      if (revents == 0) {
-        continue;
-      }
-      ReadyEvent ev;
-      ev.fd = fds_[i].fd;
-      ev.readable = (revents & POLLIN) != 0;
-      ev.writable = (revents & POLLOUT) != 0;
-      ev.hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-    return out.size();
-  }
-
-  void notify() override { signal_eventfd(wakeup_); }
-
-  PollerBackend backend() const override { return PollerBackend::kPoll; }
-
- private:
-  OwnedFd wakeup_;
-  std::map<int, bool> interest_;  // fd -> want_write
-  std::vector<pollfd> fds_;       // reused across waits
-};
+  return events;
+}
 
 }  // namespace
 
-const char* to_string(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kEpoll:
-      return "epoll";
-    case PollerBackend::kPoll:
-      return "poll";
+EventPoller::EventPoller()
+    : epoll_(::epoll_create1(EPOLL_CLOEXEC)), kernel_events_(256) {
+  if (!epoll_.valid()) {
+    throw_errno("epoll_create1");
   }
-  return "unknown";
+  wakeup_ = make_notify_eventfd();
+  // The notify eventfd stays level-triggered: it is drained on every
+  // fire, so LT cannot spin, and LT removes any reasoning about
+  // write-vs-drain edge races on the counter.
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wakeup_.get();
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wakeup_.get(), &ev) != 0) {
+    throw_errno("epoll_ctl add eventfd");
+  }
 }
 
-PollerBackend poller_backend_from_env() {
-  const char* value = std::getenv("BGL_SERVE_POLL");
-  if (value != nullptr && value[0] == '1' && value[1] == '\0') {
-    return PollerBackend::kPoll;
+void EventPoller::add(int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = interest(want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl add");
   }
-  return PollerBackend::kEpoll;
 }
 
-std::unique_ptr<EventPoller> make_event_poller(PollerBackend backend) {
-  if (backend == PollerBackend::kPoll) {
-    return std::make_unique<PollOracle>();
+void EventPoller::set_want_write(int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = interest(want_write);
+  ev.data.fd = fd;
+  // EPOLL_CTL_MOD doubles as an edge re-arm: if the socket is already
+  // writable when EPOLLOUT is switched on, the next wait() reports it
+  // even though writability never transitioned.
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl mod");
   }
-  return std::make_unique<EpollPoller>();
 }
+
+void EventPoller::remove(int fd) {
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr) != 0) {
+    throw_errno("epoll_ctl del");
+  }
+}
+
+// bgl:hot-begin(serve-poller-wait)
+// Woken once per batch of ready fds — O(ready), not O(connections) —
+// and translating kernel events into ReadyEvents must not allocate
+// beyond the caller's reused vector (the kernel batch grows only on
+// the rare full-batch wakeup, then stays grown).
+std::size_t EventPoller::wait(int timeout_ms, std::vector<ReadyEvent>& out) {
+  out.clear();
+  const WaitDeadline deadline(timeout_ms);
+  int n;
+  for (;;) {
+    n = ::epoll_wait(epoll_.get(), kernel_events_.data(),
+                     static_cast<int>(kernel_events_.size()),
+                     deadline.remaining_ms());
+    if (n >= 0) {
+      break;
+    }
+    if (errno != EINTR) {
+      throw_errno("epoll_wait");  // fatal: the loop cannot continue
+    }
+    if (deadline.expired()) {
+      return 0;  // the signal ate the remaining budget: a real timeout
+    }
+    // Interrupted with time left (or an infinite/probe wait): re-wait
+    // with the remaining budget so timer deadlines fire on schedule.
+  }
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ev = kernel_events_[static_cast<std::size_t>(i)];
+    if (ev.data.fd == wakeup_.get()) {
+      drain_eventfd(wakeup_);
+      continue;
+    }
+    ReadyEvent ready;
+    ready.fd = ev.data.fd;
+    ready.readable = (ev.events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    ready.writable = (ev.events & EPOLLOUT) != 0;
+    ready.hangup = (ev.events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0;
+    out.push_back(ready);
+  }
+  // A full batch means more fds were probably ready than slots: every
+  // extra wakeup repays the loop's per-wakeup costs, so double the
+  // batch until one wakeup drains the ready list. Without this, 10k
+  // hot connections squeeze through 256-event windows, one wakeup per
+  // window.
+  if (static_cast<std::size_t>(n) == kernel_events_.size()) {
+    kernel_events_.resize(kernel_events_.size() * 2);
+  }
+  return out.size();
+}
+// bgl:hot-end
+
+void EventPoller::notify() { signal_eventfd(wakeup_); }
 
 }  // namespace bglpred::serve

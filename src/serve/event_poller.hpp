@@ -1,43 +1,33 @@
-// Readiness-notification abstraction for the serve event loop
-// (DESIGN §8.3).
+// Readiness notification for the serve event loop (DESIGN §8.3): one
+// edge-triggered epoll instance, O(ready) per wakeup with no
+// per-connection scan.
 //
-// Two backends behind one interface: the production path is an
-// edge-triggered epoll instance — O(ready) per wakeup, no per-connection
-// scan — and the original poll() loop survives as a level-triggered
-// differential oracle selected with BGL_SERVE_POLL=1 (the repo's
-// oracle-replay pattern: the slow correct implementation stays runnable
-// so the fast one can be diffed against it at any time).
+// The server loop is written against the edge-triggered contract: an
+// event is a hint that readiness may have appeared, the consumer must
+// drain the fd until EAGAIN, and write interest is armed only while
+// there are bytes queued to flush.
 //
-// The server loop is written against the *edge-triggered contract*,
-// which is the stricter of the two and therefore correct under both:
-// an event is a hint that readiness may have appeared, the consumer
-// must drain the fd until EAGAIN, and write interest is armed only
-// while there are bytes queued to flush. Under the level-triggered
-// oracle the same discipline merely produces the occasional redundant
-// (and harmless) wakeup.
-//
-// Both backends block indefinitely when asked (timeout_ms = -1); there
-// is no polling tick. notify() is the only cross-thread door: it wakes
-// a blocked wait() via an internal eventfd, which is how stop() reaches
-// a loop that is otherwise asleep with zero pending work.
+// wait() blocks indefinitely when asked (timeout_ms = -1); there is no
+// polling tick. notify() is the only cross-thread door: it wakes a
+// blocked wait() via an internal eventfd, which is how stop() reaches a
+// loop that is otherwise asleep with zero pending work.
 #pragma once
+
+#include <sys/epoll.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
+
+#include "serve/net_util.hpp"
 
 namespace bglpred::serve {
 
+/// The one readiness backend. A single-enumerator enum kept only for
+/// ServerOptions::backend, which servebench still assigns.
 enum class PollerBackend : std::uint8_t {
-  kEpoll,  ///< edge-triggered epoll (production)
-  kPoll,   ///< level-triggered poll() (differential oracle)
+  kEpoll,  ///< edge-triggered epoll
 };
-
-const char* to_string(PollerBackend backend);
-
-/// kPoll when BGL_SERVE_POLL=1 is set in the environment, else kEpoll.
-PollerBackend poller_backend_from_env();
 
 /// One fd's readiness, as reported by wait().
 struct ReadyEvent {
@@ -49,20 +39,19 @@ struct ReadyEvent {
 
 class EventPoller {
  public:
-  virtual ~EventPoller() = default;
+  EventPoller();
 
   /// Registers `fd` for read readiness (plus write readiness when
   /// `want_write`). The fd must be non-blocking.
-  virtual void add(int fd, bool want_write) = 0;
+  void add(int fd, bool want_write);
 
-  /// Arms or disarms write-readiness interest. Re-arming under the
-  /// epoll backend acts as an edge reset: if the socket is already
-  /// writable, the next wait() reports it.
-  virtual void set_want_write(int fd, bool want_write) = 0;
+  /// Arms or disarms write-readiness interest. Re-arming acts as an edge
+  /// reset: if the socket is already writable, the next wait() reports
+  /// it.
+  void set_want_write(int fd, bool want_write);
 
-  /// Deregisters `fd`. Call before closing it (the poll oracle keeps
-  /// its own interest table).
-  virtual void remove(int fd) = 0;
+  /// Deregisters `fd`. Call before closing it.
+  void remove(int fd);
 
   /// Blocks until readiness, notify(), or `timeout_ms` (-1 = forever;
   /// 0 = nonblocking probe). Fills `out` (cleared first) and returns
@@ -71,14 +60,15 @@ class EventPoller {
   /// a signal re-waits with the *remaining* time, so a 0 return with a
   /// positive timeout means the full timeout genuinely passed — the
   /// server's timer sweep depends on this.
-  virtual std::size_t wait(int timeout_ms, std::vector<ReadyEvent>& out) = 0;
+  std::size_t wait(int timeout_ms, std::vector<ReadyEvent>& out);
 
   /// Wakes a blocked wait() from any thread.
-  virtual void notify() = 0;
+  void notify();
 
-  virtual PollerBackend backend() const = 0;
+ private:
+  OwnedFd epoll_;
+  OwnedFd wakeup_;
+  std::vector<epoll_event> kernel_events_;
 };
-
-std::unique_ptr<EventPoller> make_event_poller(PollerBackend backend);
 
 }  // namespace bglpred::serve

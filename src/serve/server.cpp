@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <list>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -96,7 +97,7 @@ struct Server::Impl {
   ShardManager shards;
   OwnedFd listener;
   std::uint16_t bound_port = 0;
-  std::unique_ptr<EventPoller> poller;
+  std::optional<EventPoller> poller;
   std::thread thread;
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> loop_running{false};
@@ -169,7 +170,7 @@ void Server::start() {
   impl_->bound_port = local_port(impl_->listener);
   // The poller is created here, not on the loop thread, so stop() can
   // reach notify() the instant start() returns.
-  impl_->poller = make_event_poller(impl_->options.backend);
+  impl_->poller.emplace();
   impl_->poller->add(impl_->listener.get(), /*want_write=*/false);
   impl_->stop_requested.store(false);
   impl_->drain_requested.store(false);

@@ -1,21 +1,19 @@
 // Event-driven loopback TCP server for the prediction service
 // (DESIGN §8.3).
 //
-// Single-threaded event loop over an EventPoller — edge-triggered epoll
-// in production, the original poll() loop as a BGL_SERVE_POLL=1
-// differential oracle. Wakeups are O(ready): the loop blocks
-// indefinitely when no connection has pending bytes or queued output
-// (no polling tick; `serve.wakeups` counts every wait() return, and a
-// regression test pins the idle count to zero). Reads drain each ready
-// connection to EAGAIN, round-robin one recv per connection per round
-// so a hot stream cannot starve the rest; responses coalesce into
-// per-connection chunked outboxes flushed with one vectored write per
-// wakeup, EPOLLOUT armed only while an outbox is non-empty. Shard work
-// happens inside the loop thread via ShardManager::drain() — once per
-// wakeup, so submits arriving together batch through the shards —
-// optionally fanned out on the manager's worker pool. With
-// worker_threads=0 the whole service is exactly one thread and nothing
-// busy-waits: deliberately sized for 1-CPU CI.
+// Single-threaded event loop over an edge-triggered epoll EventPoller.
+// Wakeups are O(ready): the loop blocks indefinitely when no connection
+// has pending bytes or queued output (no polling tick; `serve.wakeups`
+// counts every wait() return, and a regression test pins the idle count
+// to zero). Reads drain each ready connection to EAGAIN, round-robin one
+// recv per connection per round so a hot stream cannot starve the rest;
+// responses coalesce into per-connection chunked outboxes flushed with
+// one vectored write per wakeup, EPOLLOUT armed only while an outbox is
+// non-empty. Shard work happens inside the loop thread via
+// ShardManager::drain() — once per wakeup, so submits arriving together
+// batch through the shards — optionally fanned out on the manager's
+// worker pool. With worker_threads=0 the whole service is exactly one
+// thread and nothing busy-waits: deliberately sized for 1-CPU CI.
 //
 // start() runs the loop on a background thread (tests, examples, and
 // the load generator drive clients from the foreground); stop() wakes
@@ -81,9 +79,11 @@ struct ServerLimits {
 struct ServerOptions {
   /// 0 picks an ephemeral loopback port; read it back via port().
   std::uint16_t port = 0;
-  /// Readiness backend; defaults to epoll unless BGL_SERVE_POLL=1
-  /// selects the poll() differential oracle.
-  PollerBackend backend = poller_backend_from_env();
+  /// Read by nothing: epoll is the only readiness backend. The field
+  /// stays only because servebench/served_path.cpp still assigns it; a
+  /// later change to that benchmark can delete the assignment, then this
+  /// field and PollerBackend.
+  PollerBackend backend = PollerBackend::kEpoll;
   /// listen() backlog — raise for connection-storm workloads like the
   /// 10k-connection sweep (the kernel caps it at somaxconn).
   int listen_backlog = 128;

@@ -625,21 +625,9 @@ TEST(ShardManagerTest, DumpJsonListsEveryRegisteredMetric) {
   }
 }
 
-/// Server tests that exercise the event loop run against both readiness
-/// backends: edge-triggered epoll (production) and the poll() oracle.
-class ServerBackendTest : public ::testing::TestWithParam<PollerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServerBackendTest,
-    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
-TEST_P(ServerBackendTest, AbortiveClientDisconnectDoesNotKillServer) {
+TEST(ServerBackendTest, AbortiveClientDisconnectDoesNotKillServer) {
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -663,12 +651,11 @@ TEST_P(ServerBackendTest, AbortiveClientDisconnectDoesNotKillServer) {
   server.stop();
 }
 
-TEST_P(ServerBackendTest, OversizedRestoreCountGetsTypedErrorAndServerLives) {
+TEST(ServerBackendTest, OversizedRestoreCountGetsTypedErrorAndServerLives) {
   // A RESTORE frame claiming 2^32-1 pending warnings in 64 bytes must
   // cost a RESTORE_FAILED reply, not the server.
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -690,10 +677,9 @@ TEST_P(ServerBackendTest, OversizedRestoreCountGetsTypedErrorAndServerLives) {
   server.stop();
 }
 
-TEST_P(ServerBackendTest, StopResetsConnectionsGauge) {
+TEST(ServerBackendTest, StopResetsConnectionsGauge) {
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -745,26 +731,13 @@ TEST(OnlineEngineMetricsTest, AttachedCountersMirrorStats) {
 // client -> socket -> session -> shard -> engine path are byte-identical
 // (through encode_warnings) to one in-process OnlineEngine per stream,
 // including across a mid-stream CHECKPOINT + RESTORE of the shard set.
-// Runs against both readiness backends (ServerBackendTest), which is the
-// epoll rewrite's differential gate.
-class ServedEquivalenceTest : public ::testing::TestWithParam<PollerBackend> {
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServedEquivalenceTest,
-    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
-TEST_P(ServedEquivalenceTest, ByteIdenticalAcrossCheckpointRestore) {
+TEST(ServedEquivalenceTest, ByteIdenticalAcrossCheckpointRestore) {
   const ThreePhasePredictor tpp;
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.02);
   constexpr std::size_t kStreams = 3;
   const auto streams = split_streams(g, kStreams, 600);
 
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -841,13 +814,12 @@ TEST_P(ServedEquivalenceTest, ByteIdenticalAcrossCheckpointRestore) {
 
 // Same service, shard-level worker threads: determinism must not depend
 // on draining inline (shards are disjoint, streams stay ordered).
-TEST_P(ServedEquivalenceTest, WorkerThreadsPreserveStreamOrder) {
+TEST(ServedEquivalenceTest, WorkerThreadsPreserveStreamOrder) {
   const ThreePhasePredictor tpp;
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.01);
   const auto streams = split_streams(g, 2, 200);
 
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   options.shards.worker_threads = 2;
   Server server(options);
@@ -872,10 +844,9 @@ TEST_P(ServedEquivalenceTest, WorkerThreadsPreserveStreamOrder) {
   server.stop();
 }
 
-TEST_P(ServerBackendTest, StopIsIdempotentAndPortIsEphemeral) {
+TEST(ServerBackendTest, StopIsIdempotentAndPortIsEphemeral) {
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();

@@ -9,10 +9,10 @@
 // with a *typed* kError frame (never silence, never garbage), duplicate
 // frames are not re-applied, and the service keeps serving valid
 // requests afterwards (same session for recoverable damage, a fresh
-// session — a new connection — after a framing desync). A live server,
-// on both readiness backends, must also answer a RESTORE of a checkpoint
-// whose rules carry out-of-range confidences with RESTORE_FAILED and keep
-// serving its streams unchanged.
+// session — a new connection — after a framing desync). A live server
+// must also answer a RESTORE of a checkpoint whose rules carry
+// out-of-range confidences with RESTORE_FAILED and keep serving its
+// streams unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -322,23 +322,13 @@ std::string with_rule_confidences(std::string blob, double confidence,
   return blob;
 }
 
-class RestoreFaultTest : public ::testing::TestWithParam<PollerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, RestoreFaultTest,
-    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
-TEST_P(RestoreFaultTest, OutOfRangeRuleConfidenceGetsTypedErrorAndServerLives) {
+TEST(RestoreFaultTest, OutOfRangeRuleConfidenceGetsTypedErrorAndServerLives) {
   // A RESTORE whose rules carry a confidence of 2.0, NaN or -1 must cost a
   // RESTORE_FAILED reply and leave the live streams as they were. Loaded
   // as is, such a rule fails the matcher's confidence check on the next
   // drain, outside any handler, and that ends the server.
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards.shard_count = 2;
   options.shards.predictor_factory = [&tpp] {
     PredictorPtr meta = tpp.make_predictor(Method::kMeta);

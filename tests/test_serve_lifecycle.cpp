@@ -1,12 +1,12 @@
 // Connection-lifecycle and overload-protection tests for the serve
-// plane (DESIGN §8.5), run against BOTH readiness backends. Each test
-// arms exactly the limit it exercises and asserts two things: the
-// misbehaving connection is dealt with (typed refusal, eviction, or
-// timeout — and the matching serve.* counter fires), and well-behaved
-// traffic keeps flowing. Also covers graceful drain (including the
-// force-close deadline), the STREAM_STATUS reconnect watermark,
-// submit_all_resilient surviving a mid-stream eviction, and the
-// EINTR-vs-deadline regression in EventPoller::wait.
+// plane (DESIGN §8.5). Each test arms exactly the limit it exercises
+// and asserts two things: the misbehaving connection is dealt with
+// (typed refusal, eviction, or timeout — and the matching serve.*
+// counter fires), and well-behaved traffic keeps flowing. Also covers
+// graceful drain (including the force-close deadline), the
+// STREAM_STATUS reconnect watermark, submit_all_resilient surviving a
+// mid-stream eviction, and the EINTR-vs-deadline regression in
+// EventPoller::wait.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,19 +31,8 @@
 namespace bglpred::serve {
 namespace {
 
-class ServeLifecycleTest : public ::testing::TestWithParam<PollerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServeLifecycleTest,
-    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
-ServerOptions base_options(PollerBackend backend,
-                           const ThreePhasePredictor& tpp) {
+ServerOptions base_options(const ThreePhasePredictor& tpp) {
   ServerOptions options;
-  options.backend = backend;
   options.shards.shard_count = 1;
   options.shards.queue_capacity = 256;
   options.shards.predictor_factory = [&tpp] {
@@ -122,9 +111,9 @@ bool drain_for_rejection(const OwnedFd& fd, bool& saw_eof) {
 // arrival is accepted, told kRejectedOverloaded, and closed — while the
 // admitted client keeps full service. Also pins the startup fd-limit
 // gauge the centralized raise_fd_limit() publishes.
-TEST_P(ServeLifecycleTest, AcceptShedOverConnectionCeiling) {
+TEST(ServeLifecycleTest, AcceptShedOverConnectionCeiling) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.max_connections = 1;
   Server server(options);
   server.start();
@@ -150,9 +139,9 @@ TEST_P(ServeLifecycleTest, AcceptShedOverConnectionCeiling) {
 // Idle supervision keys on COMPLETED frames: a slowloris dribbling one
 // byte at a time never completes one, so its byte activity must not
 // refresh the deadline.
-TEST_P(ServeLifecycleTest, SlowlorisDribbleIdlesOut) {
+TEST(ServeLifecycleTest, SlowlorisDribbleIdlesOut) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.idle_timeout_micros = 100'000;
   Server server(options);
   server.start();
@@ -183,9 +172,9 @@ TEST_P(ServeLifecycleTest, SlowlorisDribbleIdlesOut) {
 
 // A reader that floods requests and consumes no replies grows its
 // outbox past the per-connection cap and is evicted at enqueue time.
-TEST_P(ServeLifecycleTest, SlowReaderEvictedAtOutboxCap) {
+TEST(ServeLifecycleTest, SlowReaderEvictedAtOutboxCap) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.max_connection_outbox_bytes = 4096;
   options.limits.sndbuf_bytes = 4096;
   Server server(options);
@@ -213,9 +202,9 @@ TEST_P(ServeLifecycleTest, SlowReaderEvictedAtOutboxCap) {
 
 // A connection whose buffered replies make no flush progress (stalled
 // reader, shrunk windows) trips the write-stall timeout.
-TEST_P(ServeLifecycleTest, WriteStallTimeoutEvictsStalledReader) {
+TEST(ServeLifecycleTest, WriteStallTimeoutEvictsStalledReader) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.write_stall_timeout_micros = 100'000;
   options.limits.sndbuf_bytes = 4096;
   Server server(options);
@@ -243,9 +232,9 @@ TEST_P(ServeLifecycleTest, WriteStallTimeoutEvictsStalledReader) {
 // with kRejectedOverloaded (accepted=0, watermark untouched), and once
 // the window rolls the same client is served again — budget rejection
 // is backpressure, not a ban.
-TEST_P(ServeLifecycleTest, BudgetRejectionRecoversNextWindow) {
+TEST(ServeLifecycleTest, BudgetRejectionRecoversNextWindow) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.session.max_submit_frames_per_window = 2;
   options.limits.session.window_micros = 200'000;
   Server server(options);
@@ -274,9 +263,9 @@ TEST_P(ServeLifecycleTest, BudgetRejectionRecoversNextWindow) {
 
 // Graceful drain: connections close once their replies flush, the loop
 // exits with the last reap, and nothing needed the force-close hammer.
-TEST_P(ServeLifecycleTest, DrainClosesIdleConnectionsGracefully) {
+TEST(ServeLifecycleTest, DrainClosesIdleConnectionsGracefully) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   Server server(options);
   server.start();
 
@@ -300,9 +289,9 @@ TEST_P(ServeLifecycleTest, DrainClosesIdleConnectionsGracefully) {
 // A connection that cannot flush (stalled reader, replies stuck) is
 // force-closed at the drain deadline rather than holding the server
 // open forever.
-TEST_P(ServeLifecycleTest, DrainDeadlineForceClosesStuckConnection) {
+TEST(ServeLifecycleTest, DrainDeadlineForceClosesStuckConnection) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.drain_deadline_micros = 150'000;
   options.limits.sndbuf_bytes = 4096;
   Server server(options);
@@ -330,9 +319,9 @@ TEST_P(ServeLifecycleTest, DrainDeadlineForceClosesStuckConnection) {
 
 // STREAM_STATUS is the reconnect watermark: it reports the lifetime
 // accepted count per stream, and zero for streams never seen.
-TEST_P(ServeLifecycleTest, StreamStatusReportsLifetimeAccepted) {
+TEST(ServeLifecycleTest, StreamStatusReportsLifetimeAccepted) {
   const ThreePhasePredictor tpp;
-  Server server(base_options(GetParam(), tpp));
+  Server server(base_options(tpp));
   server.start();
 
   Client client = Client::connect(server.port());
@@ -351,9 +340,9 @@ TEST_P(ServeLifecycleTest, StreamStatusReportsLifetimeAccepted) {
 // mid-stream (tight idle timeout + a deliberate stall between rounds):
 // it must reconnect, resume from the watermark, and land every record
 // exactly once.
-TEST_P(ServeLifecycleTest, ResilientSubmitSurvivesMidStreamEviction) {
+TEST(ServeLifecycleTest, ResilientSubmitSurvivesMidStreamEviction) {
   const ThreePhasePredictor tpp;
-  ServerOptions options = base_options(GetParam(), tpp);
+  ServerOptions options = base_options(tpp);
   options.limits.idle_timeout_micros = 50'000;
   Server server(options);
   server.start();
@@ -397,7 +386,7 @@ void count_sigusr1(int) { g_sigusr1_count.fetch_add(1); }
 // REMAINING time, not restart the full timeout. With a signal arriving
 // every 30 ms, a restart-from-scratch implementation never times out;
 // the fixed one returns on schedule.
-TEST_P(ServeLifecycleTest, FiniteWaitTimesOutDespiteSignalStorm) {
+TEST(ServeLifecycleTest, FiniteWaitTimesOutDespiteSignalStorm) {
   struct sigaction action {};
   action.sa_handler = count_sigusr1;
   sigemptyset(&action.sa_mask);
@@ -406,7 +395,7 @@ TEST_P(ServeLifecycleTest, FiniteWaitTimesOutDespiteSignalStorm) {
   ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
   g_sigusr1_count.store(0);
 
-  auto poller = make_event_poller(GetParam());
+  EventPoller poller;
   const pthread_t waiter = pthread_self();
   std::atomic<bool> stop{false};
   std::thread pinger([&stop, waiter] {
@@ -422,7 +411,7 @@ TEST_P(ServeLifecycleTest, FiniteWaitTimesOutDespiteSignalStorm) {
 
   std::vector<ReadyEvent> events;
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = poller->wait(300, events);
+  const std::size_t n = poller.wait(300, events);
   const auto elapsed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)

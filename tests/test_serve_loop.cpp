@@ -1,11 +1,10 @@
-// Event-loop behavior tests for the epoll serve plane (DESIGN §8.3),
-// run against BOTH readiness backends: edge-triggered epoll and the
-// poll() differential oracle. Covers the idle-wakeup regression (the
-// loop must block indefinitely, not tick), pipelined submits staying
-// byte-identical to an in-process engine — including under forced
-// backpressure, where the session's busy latch must keep accepted
-// records an exact prefix of each window — and multi-connection
-// liveness under the round-robin service discipline.
+// Event-loop behavior tests for the epoll serve plane (DESIGN §8.3).
+// Covers the idle-wakeup regression (the loop must block indefinitely,
+// not tick), pipelined submits staying byte-identical to an in-process
+// engine — including under forced backpressure, where the session's
+// busy latch must keep accepted records an exact prefix of each window
+// — and multi-connection liveness under the round-robin service
+// discipline.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -65,22 +64,12 @@ std::string oracle_warning_bytes(const ShardOptions& options,
   return encode_warnings(warnings);
 }
 
-class ServeLoopTest : public ::testing::TestWithParam<PollerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServeLoopTest,
-    ::testing::Values(PollerBackend::kEpoll, PollerBackend::kPoll),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
 // The satellite regression test for the old 50 ms tick: an idle server
-// — open connection, no traffic — must not wake at all. Both backends
-// park in wait(-1); only fd readiness or notify() may rouse them.
-TEST_P(ServeLoopTest, IdleServerDoesNotBusyWake) {
+// — open connection, no traffic — must not wake at all. The loop parks
+// in wait(-1); only fd readiness or notify() may rouse it.
+TEST(ServeLoopTest, IdleServerDoesNotBusyWake) {
   const ThreePhasePredictor tpp;
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -104,14 +93,13 @@ TEST_P(ServeLoopTest, IdleServerDoesNotBusyWake) {
 // Pipelined submits (multi-frame windows, one vectored send) must be
 // byte-identical to the in-process engine — same differential gate the
 // blocking path passes.
-TEST_P(ServeLoopTest, PipelinedSubmitMatchesInProcessEngine) {
+TEST(ServeLoopTest, PipelinedSubmitMatchesInProcessEngine) {
   const ThreePhasePredictor tpp;
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.02);
   const auto records = stream_records(g, 400);
   ASSERT_FALSE(records.empty());
 
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();
@@ -130,14 +118,13 @@ TEST_P(ServeLoopTest, PipelinedSubmitMatchesInProcessEngine) {
 // followers, or records would reach the engine out of order and the
 // byte comparison (ordering-sensitive through warning timestamps/
 // windows) would diverge.
-TEST_P(ServeLoopTest, PipelinedSubmitSurvivesBackpressureExactly) {
+TEST(ServeLoopTest, PipelinedSubmitSurvivesBackpressureExactly) {
   const ThreePhasePredictor tpp;
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.02);
   const auto records = stream_records(g, 300);
   ASSERT_GT(records.size(), 100u);
 
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   options.shards.shard_count = 1;
   options.shards.queue_capacity = 16;  // << one window (4 * 16 records)
@@ -241,14 +228,13 @@ TEST(SessionPipelineTest, BusyLatchRejectsFollowersUntilNextWindowHead) {
 // submits and polls even while its neighbors flood the loop. Exercises
 // the rotating-cursor service rounds with far more connections than
 // service rounds per wakeup.
-TEST_P(ServeLoopTest, ConcurrentClientsAllMakeProgress) {
+TEST(ServeLoopTest, ConcurrentClientsAllMakeProgress) {
   const ThreePhasePredictor tpp;
   GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.02);
   const auto records = stream_records(g, 120);
   ASSERT_FALSE(records.empty());
 
   ServerOptions options;
-  options.backend = GetParam();
   options.shards = small_shard_options(tpp);
   Server server(options);
   server.start();

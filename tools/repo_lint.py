@@ -30,14 +30,12 @@ Rules (C++ sources under src/, tests/, bench/, examples/):
                         EINTR retries, partial writes — including
                         mid-iovec resume, EAGAIN vs EOF); a raw call
                         silently reintroduces them.
-  naked-poll            poll()/select() (and the ppoll/pselect variants)
-                        in src/serve/ outside the EventPoller oracle.
-                        Readiness flows through the EventPoller
-                        abstraction (edge-triggered epoll in production);
-                        the poll() spelling is reserved for the
-                        level-triggered differential oracle in
-                        event_poller.cpp, which carries explicit allow
-                        markers.
+  naked-poll            poll()/select() (and the ppoll/pselect variants,
+                        and the headers declaring them) anywhere in
+                        src/serve/. Readiness flows through EventPoller,
+                        the one edge-triggered epoll backend; a raw
+                        poll() loop is a second, O(connections) event
+                        loop.
   slow-ingest           std::istringstream / std::ostringstream or
                         std::string::substr in the ingest hot paths
                         (src/raslog/, src/preprocess/). Both allocate per
@@ -274,9 +272,8 @@ class Linter:
                             "send()/recv()/sendmsg()/writev()", raw)
             if serve_file and RE_POLL.search(code):
                 self.report(path, no, "naked-poll",
-                            "readiness goes through EventPoller; raw "
-                            "poll()/select() is reserved for the "
-                            "differential oracle in event_poller.cpp", raw)
+                            "readiness goes through EventPoller (epoll); "
+                            "no raw poll()/select() in src/serve/", raw)
             if serve_file and RE_WALL_CLOCK.search(code):
                 self.report(path, no, "serve-wall-clock",
                             "serve-plane time must be monotonic: use "
